@@ -51,8 +51,8 @@ type Deployment struct {
 // Checkpoint is one user's stream state at a window boundary (or at
 // eviction): everything needed to rebuild the stream bit-identically.
 // Window carries the protected records the checkpointed flush produced —
-// written ahead of emission, it is what reconnect replay serves when a
-// crash outruns delivery.
+// journaled as the window is emitted, it is what reconnect replay serves
+// when a crash outruns delivery.
 type Checkpoint struct {
 	User string
 	// Generation is the deployment generation the stream last refreshed

@@ -7,12 +7,20 @@
 // live user set, not by history: opening the journal folds the newest
 // decodable snapshot-headed segment plus its tail of incremental records.
 //
-// Durability contract: a checkpoint is appended (and fsynced) *before*
-// the window it describes is emitted downstream, so any output a client
-// has observed is covered by the journal. Torn tails — a crash mid-frame
-// — truncate to the last valid record; the retained-window ring in the
-// folded state lets the server re-serve the small emit-vs-delivery gap on
-// reconnect (see /v1/replay in internal/server).
+// Durability contract: the journal observes windows, it does not gate
+// them. The serving gateway emits a window first and hands its checkpoint
+// to a write-behind pump, which commits whatever has queued as one group:
+// every record appended, one write, one fsync (Writer.Commit). A crash
+// can therefore lose the unsynced tail — at most the queued checkpoints
+// plus the group being written. Nothing is reported durable before an
+// fsync covers it: UserState.DurableIn advances only after the sync
+// returns, and a resuming client trims its send buffer only to that
+// value, so a lost tail is re-sent and re-protected bit-identically from
+// the rng position the last durable checkpoint holds. Torn tails — a
+// crash mid-frame — truncate to the last valid record; the
+// retained-window ring in the folded state lets the server re-serve the
+// small emit-vs-delivery gap on reconnect (see /v1/replay in
+// internal/server).
 package journal
 
 import (
@@ -31,19 +39,21 @@ const segPattern = "wal-%08d.log"
 var ErrClosed = errors.New("journal: writer closed")
 
 // Options configure a Writer. The zero value is usable: OS filesystem,
-// fsync on every append, rotation every 4096 appends, 8 retained windows
-// per user.
+// an fsync covering every append, rotation every 4096 appends, 8 retained
+// windows per user.
 type Options struct {
 	// FS is the filesystem seam; nil means the host filesystem.
 	FS FS
-	// SyncEvery fsyncs after every Nth append; <=1 syncs every append
-	// (the default, and what the crash-matrix equivalence proof assumes).
-	// Values >1 enable group commit: frames are buffered in memory and
-	// written+fsynced together at the cadence, so a crash can lose up to
-	// SyncEvery-1 checkpoints of tail. That tail is recoverable without
-	// breaking bit-identity — the checkpointed rng position makes
-	// re-protection of resent records deterministic, and the client's
-	// resume path count-skips regenerated windows it already delivered.
+	// SyncEvery is the fsync cadence in appends, checked once per Commit
+	// after the whole group is appended. <=1 (the default, and what the
+	// crash-matrix equivalence proof assumes) fsyncs at the end of every
+	// group, so every append is covered by an fsync before Commit returns.
+	// Values >1 fsync only once SyncEvery appends have accumulated, so a
+	// crash can lose up to SyncEvery-1 committed checkpoints of tail. That
+	// tail is recoverable without breaking bit-identity — the checkpointed
+	// rng position makes re-protection of resent records deterministic,
+	// and the client's resume path count-skips regenerated windows it
+	// already delivered.
 	SyncEvery int
 	// CompactEvery rotates to a fresh snapshot-headed segment after this
 	// many appends; <=0 means 4096.
@@ -74,6 +84,10 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// Appends counts checkpoint/deploy records appended.
 	Appends uint64
+	// Syncs counts successful fsyncs: one per committed group under the
+	// default policy, plus two per rotation and one at Close.
+	// Appends/Syncs is the achieved group size.
+	Syncs uint64
 	// Snapshots counts snapshot frames written (Install + rotations).
 	Snapshots uint64
 	// Bytes counts payload+frame bytes written.
@@ -108,30 +122,37 @@ type Writer struct {
 	dir  string
 	opts Options
 
+	// commitMu serializes the writing side — Install, Commit and Close —
+	// and is held across a group's fsync, so nothing can rotate or close
+	// the segment under a sync in flight. Commit releases mu for that
+	// fsync: readers (Stats, State, UserResume) never wait on the disk.
+	commitMu sync.Mutex
+
 	mu        sync.Mutex
 	f         File
 	seg       int    // current segment index, -1 before Install
 	appends   int    // appends into the current segment (for rotation)
 	unsynced  int    // appends since the last fsync
-	wbuf      []byte // frames encoded but not yet written (group commit)
+	wbuf      []byte // frames encoded but not yet written
 	state     *State
 	stats     Stats
 	stickyErr error
 
 	// durableIn maps user → the In counter as of the last fsync that
-	// covered one of their checkpoints. Under group commit the folded
-	// state runs ahead of the disk; UserResume reports this value so a
-	// client never trims its send buffer below what a crash could lose.
-	// With SyncEvery=1 it always equals the folded In.
+	// covered one of their checkpoints. The folded state runs ahead of the
+	// disk from a group's append until its fsync returns (and, with
+	// SyncEvery>1, until the cadence comes round); UserResume reports this
+	// value so a client never trims its send buffer below what a crash
+	// could lose.
 	durableIn map[string]uint64
 	// pendingIn lists users checkpointed since the last fsync, awaiting
 	// promotion into durableIn.
 	pendingIn []string
 }
 
-// wbufFlushBytes bounds the group-commit buffer: once it grows past this
-// the frames are written (but not fsynced) so memory stays flat even at
-// very large SyncEvery cadences.
+// wbufFlushBytes bounds the write buffer between fsyncs under
+// SyncEvery>1: once it grows past this the frames are written (but not
+// fsynced) so memory stays flat even at very large cadences.
 const wbufFlushBytes = 64 << 10
 
 // Open scans dir for journal segments and folds them into a State.
@@ -215,6 +236,8 @@ func readSegment(fs FS, path string) (entries []entry, corrupt bool) {
 // segment. Called once at startup (service.Recover) before any append;
 // rotation reuses the same path.
 func (w *Writer) Install(st *State) error {
+	w.commitMu.Lock()
+	defer w.commitMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if errors.Is(w.stickyErr, ErrClosed) {
@@ -242,6 +265,7 @@ func (w *Writer) rotateLocked() error {
 		if err := w.f.Sync(); err != nil {
 			return w.fail(fmt.Errorf("journal: sync before rotate: %w", err))
 		}
+		w.stats.Syncs++
 		if err := w.f.Close(); err != nil {
 			return w.fail(fmt.Errorf("journal: close before rotate: %w", err))
 		}
@@ -263,6 +287,7 @@ func (w *Writer) rotateLocked() error {
 	if err := f.Sync(); err != nil {
 		return w.fail(fmt.Errorf("journal: sync snapshot: %w", err))
 	}
+	w.stats.Syncs++
 	w.stats.Snapshots++
 	w.stats.Bytes += uint64(len(frame))
 	w.stats.Segment = w.seg
@@ -314,62 +339,115 @@ func writeAll(f File, b []byte) error {
 	return nil
 }
 
-// AppendCheckpoint journals one user checkpoint. On success the record
-// is durable per Options.SyncEvery and folded into the writer's state.
-// Write-ahead discipline: the gateway calls this before emitting the
-// checkpointed window downstream, and must not emit if it fails.
+// Batch is an ordered group of records for Commit — what the gateway's
+// journal pump drains its queue into. The zero value is an empty batch.
+type Batch struct{ entries []entry }
+
+// AddCheckpoint appends a user checkpoint to the batch.
+func (b *Batch) AddCheckpoint(cp Checkpoint) {
+	b.entries = append(b.entries, entry{kind: kindCheckpoint, cp: cp})
+}
+
+// AddDeploy appends a deployment swap to the batch.
+func (b *Batch) AddDeploy(d Deployment) {
+	b.entries = append(b.entries, entry{kind: kindDeploy, dep: d})
+}
+
+// Reset empties the batch for reuse, keeping its capacity but dropping
+// its records, so their windows do not stay reachable from it.
+func (b *Batch) Reset() {
+	clear(b.entries)
+	b.entries = b.entries[:0]
+}
+
+// Commit journals b's records, in order, as one group: every frame is
+// encoded into the write buffer and folded into the state under one lock
+// hold, then written with one write and — when the group completes the
+// SyncEvery cadence, which under the default policy is every group —
+// covered by one fsync. Per-user durable progress (UserResume's
+// DurableIn) advances only after that fsync returns. A failed write or
+// fsync fails the whole group: none of it counts as durable, the error
+// latches, and every later append returns it. An empty batch is a no-op.
+func (w *Writer) Commit(b *Batch) error { return w.commit(b.entries) }
+
+// AppendCheckpoint journals one user checkpoint as a group of one (see
+// Commit). The checkpoint may describe a window that has already been
+// emitted: losing it in a crash is safe because DurableIn does not cover
+// it until its fsync returns, so a resuming client still holds — and
+// re-sends — the records it consumed.
 func (w *Writer) AppendCheckpoint(cp Checkpoint) error {
-	return w.append(entry{kind: kindCheckpoint, cp: cp})
+	return w.commit([]entry{{kind: kindCheckpoint, cp: cp}})
 }
 
-// AppendDeploy journals a deployment swap. The gateway calls this before
-// installing the deployment, so recovery never resumes into a generation
-// the journal has not seen.
+// AppendDeploy journals a deployment swap as a group of one. A swap must
+// not install its deployment before the record is committed, so recovery
+// never resumes into a generation the journal has not seen.
 func (w *Writer) AppendDeploy(d Deployment) error {
-	return w.append(entry{kind: kindDeploy, dep: d})
+	return w.commit([]entry{{kind: kindDeploy, dep: d}})
 }
 
-func (w *Writer) append(e entry) error {
+func (w *Writer) commit(es []entry) error {
+	if len(es) == 0 {
+		return nil
+	}
+	w.commitMu.Lock()
+	defer w.commitMu.Unlock()
+	f, err := w.stage(es)
+	if err != nil || f == nil {
+		return err
+	}
+	// The fsync runs outside mu, so readers never wait on the disk, and
+	// inside commitMu, so no rotation or Close can pull f from under it.
+	serr := f.Sync()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if serr != nil {
+		return w.fail(fmt.Errorf("journal: sync: %w", serr))
+	}
+	w.unsynced = 0
+	w.stats.Syncs++
+	w.promoteDurableLocked()
+	return nil
+}
+
+// stage appends es to the write buffer and folds them into the state,
+// rotating segments as CompactEvery requires. When the group completes
+// the SyncEvery cadence it writes the buffer out and returns the segment
+// the caller must fsync; otherwise it returns nil, writing early only
+// once the buffer outgrows wbufFlushBytes.
+func (w *Writer) stage(es []entry) (File, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.stickyErr != nil {
-		return w.stickyErr
+		return nil, w.stickyErr
 	}
-	if w.appends >= w.opts.CompactEvery {
-		if err := w.rotateLocked(); err != nil {
-			return err
+	for _, e := range es {
+		if w.appends >= w.opts.CompactEvery {
+			if err := w.rotateLocked(); err != nil {
+				return nil, err
+			}
+		}
+		before := len(w.wbuf)
+		w.wbuf = appendEntryFrame(w.wbuf, e)
+		w.stats.Bytes += uint64(len(w.wbuf) - before)
+		w.stats.Appends++
+		w.appends++
+		w.unsynced++
+		w.state = w.state.apply(e, w.opts.RetainWindows)
+		if e.kind == kindCheckpoint {
+			w.pendingIn = append(w.pendingIn, e.cp.User)
 		}
 	}
-	before := len(w.wbuf)
-	w.wbuf = appendEntryFrame(w.wbuf, e)
-	frameLen := len(w.wbuf) - before
-	w.appends++
-	w.unsynced++
-	synced := false
-	if w.unsynced >= w.opts.SyncEvery {
-		if err := w.flushLocked(); err != nil {
-			return err
+	if w.unsynced < w.opts.SyncEvery {
+		if len(w.wbuf) >= wbufFlushBytes {
+			return nil, w.flushLocked()
 		}
-		if err := w.f.Sync(); err != nil {
-			return w.fail(fmt.Errorf("journal: sync: %w", err))
-		}
-		w.unsynced = 0
-		synced = true
-	} else if len(w.wbuf) >= wbufFlushBytes {
-		if err := w.flushLocked(); err != nil {
-			return err
-		}
+		return nil, nil
 	}
-	w.state = w.state.apply(e, w.opts.RetainWindows)
-	if e.kind == kindCheckpoint {
-		w.pendingIn = append(w.pendingIn, e.cp.User)
+	if err := w.flushLocked(); err != nil {
+		return nil, err
 	}
-	if synced {
-		w.promoteDurableLocked()
-	}
-	w.stats.Appends++
-	w.stats.Bytes += uint64(frameLen)
-	return nil
+	return w.f, nil
 }
 
 // promoteDurableLocked records the folded In of every user checkpointed
@@ -463,6 +541,8 @@ func (w *Writer) Err() error {
 // that failed mid-run did not close cleanly, and callers treat any
 // Close error as "journal tail may be torn".
 func (w *Writer) Close() error {
+	w.commitMu.Lock()
+	defer w.commitMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if errors.Is(w.stickyErr, ErrClosed) {
@@ -477,7 +557,9 @@ func (w *Writer) Close() error {
 			err = w.flushLocked()
 		}
 		if w.unsynced > 0 && err == nil {
-			err = w.f.Sync()
+			if err = w.f.Sync(); err == nil {
+				w.stats.Syncs++
+			}
 		}
 		if err == nil {
 			w.promoteDurableLocked()

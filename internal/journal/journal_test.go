@@ -393,3 +393,52 @@ func TestInstallCompactsOldSegments(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 }
+
+// TestCommitSyncsOncePerGroup pins group commit at the writer: a batch
+// costs one fsync, not one per record, and durable progress covers the
+// whole group once it returns; with SyncEvery>1 the cadence is checked at
+// the end of the group; and the refold equals the writer's state.
+func TestCommitSyncsOncePerGroup(t *testing.T) {
+	for _, every := range []int{1, 4} {
+		fs := faultfs.New()
+		w := openFresh(t, fs, "j", journal.Options{SyncEvery: every})
+		base := w.Stats().Syncs
+		var b journal.Batch
+		for i := uint64(1); i <= 3; i++ {
+			b.AddCheckpoint(cp("u", i))
+		}
+		b.AddDeploy(journal.Deployment{Generation: 1, Mechanism: "rounding"})
+		if err := w.Commit(&b); err != nil {
+			t.Fatalf("SyncEvery=%d: commit: %v", every, err)
+		}
+		if got := w.Stats().Syncs - base; got != 1 {
+			t.Fatalf("SyncEvery=%d: a 4-record group cost %d fsyncs, want 1", every, got)
+		}
+		if d := w.UserResume("u").DurableIn; d != 6 {
+			t.Fatalf("SyncEvery=%d: durable_in %d after the group, want 6", every, d)
+		}
+		b.Reset()
+		b.AddCheckpoint(cp("u", 4))
+		if err := w.Commit(&b); err != nil {
+			t.Fatalf("SyncEvery=%d: commit: %v", every, err)
+		}
+		wantSyncs, wantDurable := uint64(2), uint64(8)
+		if every > 1 {
+			wantSyncs, wantDurable = 1, 6 // one append short of the cadence
+		}
+		if got := w.Stats().Syncs - base; got != wantSyncs {
+			t.Fatalf("SyncEvery=%d: %d fsyncs after a second group, want %d", every, got, wantSyncs)
+		}
+		if d := w.UserResume("u").DurableIn; d != wantDurable {
+			t.Fatalf("SyncEvery=%d: durable_in %d, want %d", every, d, wantDurable)
+		}
+		want := w.State()
+		if err := w.Close(); err != nil {
+			t.Fatalf("SyncEvery=%d: close: %v", every, err)
+		}
+		_, got, _ := reopen(t, fs, "j", journal.Options{})
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("SyncEvery=%d: refold mismatch:\n got %+v\nwant %+v", every, got, want)
+		}
+	}
+}

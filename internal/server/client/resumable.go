@@ -19,8 +19,8 @@ import (
 // draw fresh randomness for records it already protected. DurableIn is
 // the count on stable storage: the buffer must not be trimmed below it,
 // because a crash can roll the server back that far. The two split only
-// while the journal runs write-behind or group-commits (SyncEvery > 1);
-// after a crash-restart the fold equalizes them.
+// while a checkpoint waits for the fsync that covers it (longer with
+// SyncEvery > 1); after a crash-restart the fold equalizes them.
 type ResumeInfo struct {
 	User       string `json:"user"`
 	Known      bool   `json:"known"`
@@ -443,7 +443,7 @@ func (r *ResumableStream) resyncLocked(ctx context.Context) error {
 			r.replayed = append(r.replayed, gap...)
 			r.delivered[u] += uint64(len(gap))
 		}
-		// A group-commit journal (SyncEvery > 1) can lose its unsynced
+		// A write-behind journal can lose its unsynced
 		// tail in a crash, so the restarted server regenerates windows we
 		// already delivered. Re-protection from the checkpointed rng
 		// position is deterministic, so the regenerated records are

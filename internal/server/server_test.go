@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -424,6 +425,14 @@ func TestStreamUserConflict(t *testing.T) {
 	}
 	if err := st1.Send(trace.Record{User: "shared", Time: srvT0, Point: srvBase}); err != nil {
 		t.Fatal(err)
+	}
+	// Send returns once the pipe takes the bytes, not once the server has
+	// read them. The server claims a record's user before ingesting it, so
+	// a counted ingest means st1 owns "shared" before st2 starts.
+	for deadline := time.Now().Add(10 * time.Second); env.gw.Stats().Ingested == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the first stream's record never reached the gateway")
+		}
 	}
 	st2, err := env.cl.Stream(ctx)
 	if err != nil {

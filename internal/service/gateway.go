@@ -374,8 +374,9 @@ type Gateway struct {
 
 	// jw, when non-nil, is the stream journal. Appends are write-behind:
 	// flush and evict enqueue checkpoints on jq and the pump goroutine
-	// encodes, writes and fsyncs them off the protection path, so the
-	// journal's cost on the serving hot path is one bounded channel send.
+	// group-commits them off the protection path (one write and one fsync
+	// per drained queue), so the journal's cost on the serving hot path is
+	// one bounded channel send.
 	// Crash safety does not rest on emit-after-append ordering but on the
 	// resume protocol: clients trim their send buffers only to the
 	// journal's *durable* In (journal.Writer.UserResume) and re-protection
@@ -450,7 +451,7 @@ func newGateway(ctx context.Context, cfg Config, jw *journal.Writer, gen uint64,
 	if jw != nil {
 		g.jq = make(chan journalReq, journalQueueDepth)
 		g.jpumpEnd = make(chan struct{})
-		go g.journalPump() //lppm:allow goroleak -- exits when Close closes jq after the shards drain; every done channel it answers is made with capacity 1, so no send blocks
+		go g.journalPump()
 	}
 	g.deploy.Store(&deployState{
 		gen:       gen,
@@ -499,8 +500,9 @@ const (
 )
 
 // journalReq is one unit of work for the journal pump. done, when
-// non-nil, receives the append's result — Swap gates on it, and barriers
-// use it as a queue-drained signal.
+// non-nil, receives the result of the group commit that covered the
+// request — Swap gates on it, and barriers use it as a queue-committed
+// signal.
 type journalReq struct {
 	kind byte
 	cp   journal.Checkpoint
@@ -508,30 +510,61 @@ type journalReq struct {
 	done chan error
 }
 
-// journalPump is the write-behind journal goroutine: it serializes every
-// append off the protection path. FIFO order makes the on-disk record
+// journalPump is the write-behind journal goroutine, and it commits in
+// groups: once a request arrives it takes every request already queued,
+// up to journalQueueDepth, without blocking, and commits their records
+// with one write and one fsync. Only then does it answer the group's done
+// channels, so a barrier or a Swap is answered after an fsync covers
+// everything queued ahead of it. FIFO order makes the on-disk record
 // order identical to the enqueue order, which is what the swapMu ordering
-// argument (deploy before dependent checkpoints) relies on.
+// argument (deploy before dependent checkpoints) relies on. A failed
+// commit reaches the whole group: every waiter gets the error and the
+// gateway error latches.
 func (g *Gateway) journalPump() {
 	defer close(g.jpumpEnd)
-	for req := range g.jq {
-		var err error
+	var batch journal.Batch
+	var dones []chan error
+	add := func(req journalReq) {
 		switch req.kind {
 		case jreqCheckpoint:
-			err = g.jw.AppendCheckpoint(req.cp)
+			batch.AddCheckpoint(req.cp)
 		case jreqDeploy:
-			err = g.jw.AppendDeploy(req.dep)
+			batch.AddDeploy(req.dep)
 		}
 		if req.done != nil {
-			req.done <- err
-		} else if err != nil {
+			dones = append(dones, req.done)
+		}
+	}
+	for req := range g.jq {
+		add(req)
+	drain:
+		for n := 1; n < journalQueueDepth; n++ {
+			select {
+			case req, ok := <-g.jq:
+				if !ok {
+					break drain
+				}
+				add(req)
+			default:
+				break drain
+			}
+		}
+		err := g.jw.Commit(&batch)
+		if err != nil {
 			g.setErr(err)
 		}
+		for _, done := range dones {
+			done <- err
+		}
+		batch.Reset()
+		clear(dones)
+		dones = dones[:0]
 	}
 }
 
 // JournalBarrier waits until every journal append enqueued so far has
-// been applied, so the writer's folded state covers everything the
+// been committed — folded into the writer's state and, under the default
+// fsync policy, fsynced — so the folded state covers everything the
 // gateway has emitted. The server's resume/replay handlers call it before
 // reading per-user state: without the barrier, a window emitted moments
 // ago could be missing from both the client's delivery and the folded
@@ -610,6 +643,9 @@ func (g *Gateway) registerMetrics() {
 		g.reg.CounterFunc("lppm_journal_appends_total",
 			"checkpoint/deploy records appended to the stream journal", nil,
 			func() uint64 { return g.jw.Stats().Appends })
+		g.reg.CounterFunc("lppm_journal_syncs_total",
+			"stream journal fsyncs; appends_total/syncs_total is the pump's achieved group size", nil,
+			func() uint64 { return g.jw.Stats().Syncs })
 		g.reg.CounterFunc("lppm_journal_snapshots_total",
 			"snapshot frames written (startup install + rotations)", nil,
 			func() uint64 { return g.jw.Stats().Snapshots })
@@ -849,8 +885,9 @@ func (g *Gateway) FlushUser(user string) error {
 // EvictUser checkpoints a user's stream — pending records included, the
 // window split untouched — and releases its memory; the user's next
 // record rebuilds the stream from the checkpoint, bit-identically. With
-// a journal attached the checkpoint is durable; without one it is held
-// in memory. The command rides the shard queue behind every record
+// a journal attached the checkpoint is also journaled, durable once the
+// pump's next fsync covers it; without one it is held only in memory.
+// The command rides the shard queue behind every record
 // already ingested, like FlushUser, and returns once processed. Evicting
 // an unknown user is a no-op.
 func (g *Gateway) EvictUser(user string) error {
