@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/server/client"
@@ -135,7 +137,20 @@ func TestEndpointRequestMetrics(t *testing.T) {
 		t.Fatalf("bad reconfigure answered %d, want 4xx", resp.StatusCode)
 	}
 
-	samples := env.gw.Obs().Gather()
+	// The client sees each response before the server's instrument
+	// wrapper records it: the status-class count and the in-flight
+	// decrement run after the handler returns. In-flight back at zero is
+	// the observable end of that bookkeeping.
+	var samples []obs.Sample
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		samples = env.gw.Obs().Gather()
+		if obs.NewView(samples).Sum("lppm_http_inflight") == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("requests still in flight after every response arrived")
+		}
+	}
 	count := func(endpoint, class string) float64 {
 		for _, s := range samples {
 			if s.Name == "lppm_http_requests_total" &&
@@ -153,10 +168,6 @@ func TestEndpointRequestMetrics(t *testing.T) {
 	}
 	if got := count("reconfigure", "4xx"); got != 1 {
 		t.Errorf("reconfigure 4xx = %v, want 1", got)
-	}
-	v := obs.NewView(samples)
-	if got := v.Sum("lppm_http_inflight"); got != 0 {
-		t.Errorf("in-flight sum = %v after all requests done, want 0", got)
 	}
 }
 
