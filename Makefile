@@ -53,14 +53,18 @@ bench-obs:
 bench-journal:
 	BENCH_JOURNAL_JSON=BENCH_journal.json $(GO) test -run '^$$' -bench='JournalOverhead' -benchtime=20x .
 
-# Short fuzz pass over the journal frame decoder and the traceparent
-# parser: the fuzz engine mutates the committed corpora (torn frames,
-# flipped CRCs, truncated varints; malformed W3C headers) and each target
-# asserts its decoder never panics and round-trips what it accepts. Go
-# runs one -fuzz target per invocation, so the two run back to back.
+# Short fuzz pass over the journal frame decoder, the traceparent parser
+# and the JSONL codec: the fuzz engine mutates the committed corpora (torn
+# frames, flipped CRCs, truncated varints; malformed W3C headers; JSON the
+# fixed-schema codec must hand to encoding/json) and each target asserts
+# its decoder never panics and round-trips what it accepts, or, for the
+# codec, matches encoding/json exactly. Go runs one -fuzz target per
+# invocation, so they run back to back.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTraceparent' -fuzztime 10s ./internal/obs/tracing
+	$(GO) test -run '^$$' -fuzz 'FuzzJSONLDecodeDifferential' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz 'FuzzJSONLEncodeDifferential' -fuzztime 10s ./internal/trace
 
 # Tracing smoke: drive a traced fleet through the in-process server and
 # dump the span ring as Chrome trace_event JSON (trace.chrome) — the file

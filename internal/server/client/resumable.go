@@ -194,28 +194,20 @@ func (c *Client) ResumableStream(ctx context.Context, bo BackoffConfig) (*Resuma
 }
 
 // Send pushes one record, reconnecting and re-syncing on failure. The
-// record is buffered before the wire write, so a mid-send failure is
-// covered by the reconnect's resend (journal-trimmed — no double draw).
+// record is buffered before the wire write, and every resync from then on
+// resends it, so a mid-send failure is covered by the reconnect's resend
+// (journal-trimmed — no double draw). Send therefore writes rec only to the
+// stream that was current when it was buffered: after a reconnect, writing
+// it again would hand the server a duplicate to protect.
 func (r *ResumableStream) Send(ctx context.Context, rec trace.Record) error {
-	if err := r.buffer(rec); err != nil {
+	st, gen, err := r.buffer(rec)
+	if err != nil {
 		return err
 	}
-	for {
-		st, gen, err := r.current()
-		if err != nil {
-			return err
-		}
-		if err := st.Send(rec); err == nil {
-			return nil
-		}
-		covered, err := r.recover(ctx, gen)
-		if err != nil {
-			return err
-		}
-		if covered {
-			return nil // the resync's resend included rec
-		}
+	if err := st.Send(rec); err == nil {
+		return nil
 	}
+	return r.recover(ctx, gen)
 }
 
 // CloseSend ends the sending half. After it, a reconnect re-closes the
@@ -224,23 +216,15 @@ func (r *ResumableStream) Send(ctx context.Context, rec trace.Record) error {
 func (r *ResumableStream) CloseSend(ctx context.Context) error {
 	r.mu.Lock()
 	r.sendDone = true
+	st, gen, err := r.st, r.gen, r.usableLocked()
 	r.mu.Unlock()
-	for {
-		st, gen, err := r.current()
-		if err != nil {
-			return err
-		}
-		if err := st.CloseSend(); err == nil {
-			return nil
-		}
-		covered, err := r.recover(ctx, gen)
-		if err != nil {
-			return err
-		}
-		if covered {
-			return nil // resyncLocked re-closed the fresh stream
-		}
+	if err != nil {
+		return err
 	}
+	if err := st.CloseSend(); err == nil {
+		return nil
+	}
+	return r.recover(ctx, gen)
 }
 
 // Recv returns the next protected record: journal-replayed gap records
@@ -271,7 +255,7 @@ func (r *ResumableStream) Recv(ctx context.Context) (trace.Record, error) {
 				return trace.Record{}, io.EOF
 			}
 		}
-		if _, rerr := r.recover(ctx, gen); rerr != nil {
+		if rerr := r.recover(ctx, gen); rerr != nil {
 			return trace.Record{}, rerr
 		}
 	}
@@ -298,18 +282,19 @@ func (r *ResumableStream) usableLocked() error {
 }
 
 // buffer appends rec to the user's resend buffer before any wire write,
-// so a mid-send failure is always covered by the reconnect's resend.
-func (r *ResumableStream) buffer(rec trace.Record) error {
+// so a mid-send failure is always covered by the reconnect's resend, and
+// returns the stream and generation current at that moment.
+func (r *ResumableStream) buffer(rec trace.Record) (*Stream, uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.usableLocked(); err != nil {
-		return err
+		return nil, 0, err
 	}
 	if _, ok := r.sent[rec.User]; !ok {
 		r.order = append(r.order, rec.User)
 	}
 	r.sent[rec.User] = append(r.sent[rec.User], rec)
-	return nil
+	return r.st, r.gen, nil
 }
 
 // popReplayed takes the next journal-replayed gap record, if any —
@@ -351,19 +336,19 @@ func (r *ResumableStream) current() (*Stream, uint64, error) {
 }
 
 // recover re-establishes the stream after a failure observed on
-// generation gen. If another operation already reconnected (gen moved),
-// it reports covered=false and the caller retries on the fresh stream;
-// otherwise it runs the backoff loop and reports covered=true — the
-// resync's journal-trimmed resend already carried the caller's buffered
-// records. Exhausting the backoff schedule poisons the stream.
-func (r *ResumableStream) recover(ctx context.Context, gen uint64) (covered bool, err error) {
+// generation gen, unless another operation already reconnected (gen
+// moved). Either way the resync that made the current stream resent every
+// record buffered before it and re-closed the sending half if CloseSend
+// had begun, so Send and CloseSend are done; Recv reads on. Exhausting the
+// backoff schedule poisons the stream.
+func (r *ResumableStream) recover(ctx context.Context, gen uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.usableLocked(); err != nil {
-		return false, err
+		return err
 	}
 	if r.gen != gen {
-		return false, nil
+		return nil
 	}
 	if r.st != nil {
 		_ = r.st.Close() //lppm:allow droppederr -- the stream already failed; closing only releases the dead connection
@@ -373,11 +358,11 @@ func (r *ResumableStream) recover(ctx context.Context, gen uint64) (covered bool
 	for attempt := 0; attempt < r.bo.Retries; attempt++ {
 		if serr := r.bo.Sleep(ctx, r.bo.delay(attempt)); serr != nil {
 			r.dead = serr
-			return false, serr
+			return serr
 		}
 		lastErr = r.resyncLocked(ctx)
 		if lastErr == nil {
-			return true, nil
+			return nil
 		}
 		var apiErr *APIError
 		if errors.As(lastErr, &apiErr) && apiErr.Status == http.StatusGone {
@@ -389,7 +374,7 @@ func (r *ResumableStream) recover(ctx context.Context, gen uint64) (covered bool
 		}
 	}
 	r.dead = fmt.Errorf("client: resume failed after %d attempts: %w", r.bo.Retries, lastErr)
-	return false, r.dead
+	return r.dead
 }
 
 // resyncLocked runs one resume round: query the journal's durable

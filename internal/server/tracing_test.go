@@ -20,6 +20,28 @@ func findSpans(spans []*tracing.SpanData, name string, trace tracing.TraceID) []
 	return out
 }
 
+// awaitSpans returns the ended spans named name that keep accepts, once
+// there is at least one. The server ends a request's http.* span after the
+// handler returns, so the client can hold the whole response first.
+func awaitSpans(t *testing.T, tr *tracing.Tracer, name string, keep func(*tracing.SpanData) bool) []*tracing.SpanData {
+	t.Helper()
+	var out []*tracing.SpanData
+	waitFor(t, name+" span", func() bool {
+		out = out[:0]
+		for _, sp := range tr.Spans() {
+			if sp.Name == name && keep(sp) {
+				out = append(out, sp)
+			}
+		}
+		return len(out) > 0
+	})
+	return out
+}
+
+func inTrace(trace tracing.TraceID) func(*tracing.SpanData) bool {
+	return func(sp *tracing.SpanData) bool { return sp.Trace == trace }
+}
+
 // TestTraceparentPropagation is the end-to-end acceptance check: a
 // client-originated trace injected as a traceparent header must reappear
 // on the server's spans for the same stream — the HTTP span as a direct
@@ -62,8 +84,9 @@ func TestTraceparentPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	hs := awaitSpans(t, tr, "http.stream", inTrace(remote.Trace))
 	spans := tr.Spans()
-	if hs := findSpans(spans, "http.stream", remote.Trace); len(hs) != 1 {
+	if len(hs) != 1 {
 		t.Fatalf("http.stream spans under client trace = %d, want 1", len(hs))
 	} else if hs[0].Parent != remote.Span {
 		t.Errorf("http.stream parented to %s, want client span %s", hs[0].Parent, remote.Span)
@@ -87,7 +110,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	if _, err := env.cl.Stats(tracing.ContextWithSpanContext(context.Background(), remote2)); err != nil {
 		t.Fatal(err)
 	}
-	if hs := findSpans(tr.Spans(), "http.stats", remote2.Trace); len(hs) != 1 {
+	if hs := awaitSpans(t, tr, "http.stats", inTrace(remote2.Trace)); len(hs) != 1 {
 		t.Fatalf("http.stats spans under client trace = %d, want 1", len(hs))
 	}
 
@@ -105,12 +128,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz with bad traceparent: %d", resp.StatusCode)
 	}
-	var health []*tracing.SpanData
-	for _, sp := range tr.Spans() {
-		if sp.Name == "http.healthz" {
-			health = append(health, sp)
-		}
-	}
+	health := awaitSpans(t, tr, "http.healthz", func(*tracing.SpanData) bool { return true })
 	if len(health) != 1 {
 		t.Fatalf("http.healthz spans = %d, want 1", len(health))
 	}

@@ -35,12 +35,20 @@ func ParseFormat(s string) (Format, error) {
 // input order without materializing a Dataset — the streaming complement of
 // ReadCSV/ReadJSONL for inputs too large (or too live) to batch. An error
 // from fn aborts the scan and is returned unchanged.
+//
+// JSONL accepts exactly what encoding/json decodes into the record's four
+// fields. Lines in RecordWriter's canonical form are parsed by a
+// fixed-schema byte scanner; from the first value that is not, the rest of
+// the stream goes through encoding/json, which therefore sets the error text.
+// A JSONL error names the value by its 1-based position in the stream. Each
+// record reaches fn once its last byte has been read: the scanner never waits
+// for more input while it holds a complete value.
 func ScanRecords(r io.Reader, format Format, fn func(Record) error) error {
 	switch format {
 	case FormatCSV:
 		return scanCSV(r, fn)
 	case FormatJSONL:
-		return scanJSONL(r, fn)
+		return newJSONLScanner(r).scan(fn)
 	}
 	return fmt.Errorf("trace: unknown format %q", format)
 }
@@ -75,32 +83,20 @@ func scanCSV(r io.Reader, fn func(Record) error) error {
 	}
 }
 
-func scanJSONL(r io.Reader, fn func(Record) error) error {
-	dec := json.NewDecoder(r)
-	for line := 1; ; line++ {
-		var jr jsonRecord
-		if err := dec.Decode(&jr); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("trace: jsonl line %d: %w", line, err)
-		}
-		rec, err := jr.record()
-		if err != nil {
-			return fmt.Errorf("trace: jsonl line %d: %w", line, err)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-}
-
 // RecordWriter emits records one at a time in a wire format — the streaming
 // complement of WriteCSV/WriteJSONL. Call Flush when done.
+//
+// A JSONL line is byte for byte what encoding/json's Encoder writes for the
+// record's four fields. Records whose user is printable ASCII other than
+// "\<>& and whose coordinates are finite are appended by a fixed-schema
+// encoder; the rest go through encoding/json, which escapes the user and
+// rejects NaN and ±Inf.
 type RecordWriter struct {
 	format Format
 	bw     *bufio.Writer
 	cw     *csv.Writer
 	enc    *json.Encoder
+	line   []byte // the fixed-schema encoder's line buffer
 	wrote  bool
 }
 
@@ -142,7 +138,14 @@ func (rw *RecordWriter) Write(rec Record) error {
 	default: // jsonl; constructor rejected anything else
 		rw.wrote = true
 		jr := jsonRecord{User: rec.User, Unix: rec.Time.Unix(), Lat: rec.Point.Lat, Lng: rec.Point.Lng}
-		if err := rw.enc.Encode(jr); err != nil {
+		var err error
+		if line, ok := appendJSONL(rw.line[:0], jr); ok {
+			rw.line = line
+			_, err = rw.bw.Write(line)
+		} else {
+			err = rw.enc.Encode(jr)
+		}
+		if err != nil {
 			return fmt.Errorf("trace: encode jsonl: %w", err)
 		}
 		return nil

@@ -3,8 +3,11 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/geo"
@@ -141,5 +144,132 @@ func TestScanErrorsPropagate(t *testing.T) {
 	}
 	if _, err := NewRecordWriter(&bytes.Buffer{}, Format("xml")); err == nil {
 		t.Error("unknown writer format must error")
+	}
+}
+
+// TestScanJSONLIsLive checks that a record reaches fn as soon as its last
+// byte has been read, on the fast path and after the fall back to
+// encoding/json alike. A scanner that waited for more input while holding a
+// complete value would deadlock closed-loop streams, whose clients send the
+// next window only once this one comes back. Each Write on the pipe returns
+// only when the scanner has read all of it, and the next byte is written
+// only after the record arrived.
+func TestScanJSONLIsLive(t *testing.T) {
+	pr, pw := io.Pipe()
+	recs := make(chan Record)
+	done := make(chan error, 1)
+	go func() {
+		done <- ScanRecords(pr, FormatJSONL, func(rec Record) error {
+			recs <- rec
+			return nil
+		})
+	}()
+	watchdog := time.NewTimer(time.Minute)
+	defer watchdog.Stop()
+	for _, c := range []struct{ line, user string }{
+		{`{"user":"a","ts":1,"lat":1,"lng":2}` + "\n", "a"},
+		{`{"user":"b","ts":2,"lat":3,"lng":4}`, "b"},
+		{`{"user":"c","lng":6,"ts":3,"lat":5}`, "c"}, // not canonical: encoding/json takes over
+		{"\n" + `{"user":"d","ts":4,"lat":7,"lng":8}`, "d"},
+	} {
+		if _, err := pw.Write([]byte(c.line)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case rec := <-recs:
+			if rec.User != c.user {
+				t.Fatalf("got user %q, want %q", rec.User, c.user)
+			}
+		case <-watchdog.C:
+			t.Fatalf("record %q not delivered: the scanner is waiting for input it does not need", c.line)
+		}
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanJSONLReadBoundaries checks that canonical wire stays on the fast
+// path wherever the reads split it — a read that ends at `"lat":-` or `1.`
+// is the start of a canonical value, not a departure from the form — and
+// across refills of the scanner's buffer.
+func TestScanJSONLReadBoundaries(t *testing.T) {
+	at := func(ts int64) time.Time { return time.Unix(ts, 0).UTC() }
+	recs := []Record{
+		{User: "u-1", Time: at(1211025600), Point: geo.Point{Lat: 37.7749, Lng: -122.4194}},
+		{User: "v w", Time: at(-5), Point: geo.Point{Lat: -5e-8, Lng: 1e-6}},
+		{User: "x", Time: at(0), Point: geo.Point{Lat: -90, Lng: 180}},
+	}
+	for i := 0; len(recs) < 1000; i++ {
+		recs = append(recs, Record{User: fmt.Sprintf("user-%d", i%37), Time: at(int64(i) * 7),
+			Point: geo.Point{Lat: float64(i%180-90) / 3, Lng: -float64(i%360-180) / 7}})
+	}
+	var wire bytes.Buffer
+	rw, err := NewRecordWriter(&wire, FormatJSONL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := rw.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b := wire.Bytes()
+	if len(b) <= jsonlBufSize {
+		t.Fatalf("wire is %d bytes; the test needs more than one buffer", len(b))
+	}
+
+	check := func(name string, r io.Reader, want []Record) {
+		t.Helper()
+		s := newJSONLScanner(r)
+		var got []Record
+		if err := s.scan(func(rec Record) error {
+			got = append(got, rec)
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.fellBack {
+			t.Fatalf("%s: canonical wire fell back to encoding/json", name)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: record %d is %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+	head := bytes.SplitAfter(b, []byte("\n"))
+	short := bytes.Join(head[:3], nil)
+	for k := 0; k <= len(short); k++ {
+		check(fmt.Sprintf("split at %d", k), io.MultiReader(bytes.NewReader(short[:k]), bytes.NewReader(short[k:])), recs[:3])
+	}
+	check("one byte per read", iotest.OneByteReader(bytes.NewReader(b)), recs)
+	check("half reads", iotest.HalfReader(bytes.NewReader(b)), recs)
+}
+
+// TestScanJSONLErrorNamesRecord checks that a JSONL error names the value
+// by its position in the stream, not a line: blank lines and values that
+// share a line do not shift it, on either decoding path.
+func TestScanJSONLErrorNamesRecord(t *testing.T) {
+	good := `{"user":"a","ts":1,"lat":1,"lng":2}`
+	for _, c := range []struct{ in, want string }{
+		{good + "\n\n" + `{"user":"","ts":1,"lat":1,"lng":2}` + "\n",
+			"trace: jsonl record 2: empty user"},
+		{good + "\n\n" + good + `{"user":"b","ts":x}`,
+			"trace: jsonl record 3: invalid character 'x' looking for beginning of value"},
+	} {
+		err := ScanRecords(strings.NewReader(c.in), FormatJSONL, func(Record) error { return nil })
+		if err == nil || err.Error() != c.want {
+			t.Errorf("error %v, want %q", err, c.want)
+		}
 	}
 }
