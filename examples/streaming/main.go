@@ -78,7 +78,6 @@ func main() {
 	cfg := service.ConfigFromDeployment(dep, 42)
 	cfg.Shards = 4
 	cfg.FlushEvery = 16
-	cfg.StageSize = 1 // no ingest staging: phase-1 windows flush promptly
 	gw, err := service.New(context.Background(), cfg)
 	if err != nil {
 		fatal(err)

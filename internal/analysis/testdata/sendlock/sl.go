@@ -18,7 +18,7 @@ type shardLike struct {
 }
 
 // The deadlock: under backpressure the send blocks with mu held; the
-// worker draining `in` eventually needs mu (stage sweep, stats, drain
+// worker draining `in` eventually needs mu (idle stage take, stats, drain
 // accounting) and blocks behind it — nobody ever receives.
 func (s *shardLike) ingestDeadlock(batch []int) {
 	s.mu.Lock()
@@ -65,8 +65,9 @@ func (s *shardLike) sendAfter(batch []int) {
 	s.in <- batch
 }
 
-// A default clause is an escape (Gateway.sweep's TryLock shape).
-func (s *shardLike) sweepLike() {
+// A default clause is an escape (the shape of Gateway.Ingest's wake-up
+// send to an idle worker).
+func (s *shardLike) wakeLike() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	select {

@@ -11,7 +11,7 @@ import (
 // time.Tick's never fires free. The serving stack runs retry and
 // write-stall loops at request rate, where the sanctioned idiom is a
 // single time.NewTimer/NewTicker outside the loop with a deferred Stop
-// (see Gateway.sweep and the drain-grace timer in flush).
+// (see the drain-grace timer in Gateway.flush).
 var TimeLeak = &Analyzer{
 	Name: "timeleak",
 	Doc: "no time.After or time.Tick inside a loop; hoist a " +

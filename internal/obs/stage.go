@@ -11,7 +11,8 @@ type Stage int
 
 const (
 	// StageIngest is staging residency: first record staged → batch
-	// handed to the shard queue (bounded by StageSize/StageInterval).
+	// handed to the shard queue when it reaches StageSize, or taken by
+	// the shard worker as soon as its queue is empty.
 	StageIngest Stage = iota
 	// StageQueue is shard-queue residency: batch enqueued → dequeued by
 	// the shard worker (grows under backpressure).

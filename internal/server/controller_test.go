@@ -101,7 +101,6 @@ func TestControllerUnderNetworkLoad(t *testing.T) {
 		cfg := service.ConfigFromDeployment(f.dep, gwSeed)
 		cfg.Shards = 2
 		cfg.FlushEvery = flushEvery
-		cfg.StageSize = 1
 		return cfg
 	}
 

@@ -703,33 +703,44 @@ func (s *Server) readStream(r *http.Request, c *streamConn) error {
 }
 
 // writeStream is the connection's delivery half: windows out of the queue,
-// records onto the wire, one flush per window so clients see output with
-// window granularity rather than buffer granularity.
+// records onto the wire. It takes every window already queued along with
+// the first and pays the stall deadline and both flushes once for the set,
+// so clients still see output with window granularity, never buffer
+// granularity, without a flush per window when windows queue up.
 func (s *Server) writeStream(w http.ResponseWriter, rc *http.ResponseController, c *streamConn) error {
 	rw, err := trace.NewRecordWriter(w, wireFormat)
 	if err != nil {
 		return err
 	}
+	var set []timedWindow
 	for tw := range c.windows {
-		// A traced window reuses the dispatch/write stamps for its last
-		// two spans — same readings, no extra clock cost.
-		traced := s.tracer != nil && tw.span.Sampled() && tw.ns != 0
+		set = append(set[:0], tw)
+		for len(c.windows) > 0 { // the sole receiver: a queued window is there to take
+			set = append(set, <-c.windows)
+		}
+		// Each window's dispatch stage ends at one pickup stamp for the
+		// set, and its write stage at the set's flush. A traced window
+		// reuses these readings for its last two spans.
 		var pickup int64
-		if s.clock != nil || traced {
+		if s.clock != nil || s.tracer != nil {
 			pickup = obs.Stamp()
-			s.clock.Observe(obs.StageDispatch, tw.ns, pickup)
-			if traced {
-				s.tracer.ChildAt(tw.span, "dispatch", tw.ns).EndAt(pickup)
-			}
 		}
 		// Rolling stall deadline: a client that keeps reading never hits
 		// it; one that stopped reading errors this write, the handler
 		// abandons the connection, and route() stops blocking on it —
 		// one stalled peer cannot wedge the shared dispatcher for good.
 		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.WriteStallTimeout)) //lppm:allow droppederr -- best-effort stall guard; without deadline support a stalled peer is still caught by request teardown
-		for _, rec := range tw.recs {
-			if err := rw.Write(rec); err != nil {
-				return err
+		for _, tw := range set {
+			if pickup != 0 {
+				s.clock.Observe(obs.StageDispatch, tw.ns, pickup)
+				if s.traced(tw) {
+					s.tracer.ChildAt(tw.span, "dispatch", tw.ns).EndAt(pickup)
+				}
+			}
+			for _, rec := range tw.recs {
+				if err := rw.Write(rec); err != nil {
+					return err
+				}
 			}
 		}
 		if err := rw.Flush(); err != nil {
@@ -738,17 +749,26 @@ func (s *Server) writeStream(w http.ResponseWriter, rc *http.ResponseController,
 		if err := rc.Flush(); err != nil {
 			return err
 		}
-		if s.clock != nil || traced {
+		if pickup != 0 {
 			end := obs.Stamp()
-			s.clock.Observe(obs.StageWrite, pickup, end)
-			if traced {
-				s.tracer.ChildAt(tw.span, "write", pickup).EndAt(end)
+			for _, tw := range set {
+				s.clock.Observe(obs.StageWrite, pickup, end)
+				if s.traced(tw) {
+					s.tracer.ChildAt(tw.span, "write", pickup).EndAt(end)
+				}
 			}
 		}
+		clear(set) // drop the records until the next set reuses the array
 	}
 	// Clear the deadline for the trailer write.
 	_ = rc.SetWriteDeadline(time.Time{}) //lppm:allow droppederr -- best-effort clear; pairs with the best-effort set above
 	return nil
+}
+
+// traced reports whether a window extends its trace into the dispatch
+// and write spans: sampled upstream and stamped by route.
+func (s *Server) traced(tw timedWindow) bool {
+	return s.tracer != nil && tw.span.Sampled() && tw.ns != 0
 }
 
 // handleProtect serves POST /v1/protect: a unary batch through the current

@@ -675,7 +675,6 @@ func TestConcurrentStreamsPartitionUsers(t *testing.T) {
 func TestStalledReaderDoesNotWedgeServer(t *testing.T) {
 	gwCfg := baseGatewayConfig(67)
 	gwCfg.FlushEvery = 1 // every record is a window: pressure builds fast
-	gwCfg.StageSize = 1
 	env := newEnv(t, gwCfg, func(c *server.Config) {
 		c.WindowBuffer = 1
 		c.WriteStallTimeout = 200 * time.Millisecond

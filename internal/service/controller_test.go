@@ -115,7 +115,6 @@ func TestControllerClosesTheLoop(t *testing.T) {
 		cfg := ConfigFromDeployment(f.dep, gwSeed)
 		cfg.Shards = 2
 		cfg.FlushEvery = flushEvery
-		cfg.StageSize = 1
 		return cfg
 	}
 

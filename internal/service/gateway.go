@@ -53,15 +53,13 @@ type Config struct {
 	// are protected and emitted once this many have accumulated; 0 uses
 	// 32. Drain flushes any remainder.
 	FlushEvery int
-	// StageSize is the ingest batch size: records stage per shard and
-	// travel the queue StageSize at a time, amortizing channel and
-	// scheduling costs across the batch; 0 uses 32, 1 disables staging.
-	// A partial stage is swept to its shard every StageInterval, so on a
-	// non-saturated shard a record waits at most about one sweep before
-	// entering the queue.
+	// StageSize is the largest ingest batch: records stage per shard and
+	// a stage that reaches StageSize travels the queue as one message,
+	// amortizing channel and scheduling costs across the batch; 0 uses
+	// 32, 1 disables staging. It bounds a batch, not a wait: a shard
+	// worker with an empty queue takes whatever is staged, so a record
+	// on a non-saturated shard never waits for its stage to fill.
 	StageSize int
-	// StageInterval is the partial-stage sweep period; 0 uses 100 ms.
-	StageInterval time.Duration
 	// Seed drives all randomness. Per-user streams are derived by name,
 	// so output is invariant under the shard count.
 	Seed int64
@@ -133,12 +131,6 @@ func (c *Config) normalize() error {
 	// queue per shard (plus one stage in flight).
 	if c.StageSize > c.QueueSize {
 		c.StageSize = c.QueueSize
-	}
-	if c.StageInterval == 0 {
-		c.StageInterval = 100 * time.Millisecond
-	}
-	if c.StageInterval < 0 {
-		return fmt.Errorf("service: StageInterval must be positive, got %v", c.StageInterval)
 	}
 	if len(c.Overrides) > 0 {
 		merged, err := mergeOverrides(c.Mechanism, c.Params, c.Overrides)
@@ -275,6 +267,15 @@ type shard struct {
 	stageMu sync.Mutex
 	stage   []trace.Record
 	dead    bool // no further sends on in; set before in closes
+	// idle is set (under stageMu) by a worker that found its queue and
+	// stage empty and is about to park; the next partial append clears
+	// it and signals wake (capacity 1, never a blocking send).
+	idle bool
+	wake chan struct{}
+	// spare is the backing array of the last batch the worker handled,
+	// installed as the stage by its next idle take so that idle takes do
+	// not allocate. Shard goroutine only.
+	spare []trace.Record
 	// stageStartNS is the obs.Stamp at which the stage went empty →
 	// non-empty (guarded by stageMu); 0 when empty, when the clock is
 	// disabled, or when this batch is not in the 1-in-obsSampleEvery
@@ -466,6 +467,7 @@ func newGateway(ctx context.Context, cfg Config, jw *journal.Writer, gen uint64,
 	for i := range g.shards {
 		s := &shard{
 			in:      make(chan shardMsg, batches),
+			wake:    make(chan struct{}, 1),
 			users:   make(map[string]*userState),
 			restore: make(map[string]journal.Checkpoint),
 			remote:  make(map[string]tracing.SpanContext),
@@ -483,7 +485,6 @@ func newGateway(ctx context.Context, cfg Config, jw *journal.Writer, gen uint64,
 	}
 	g.registerMetrics()
 	go g.watch()
-	go g.sweep()
 	return g, nil
 }
 
@@ -734,44 +735,6 @@ func (g *Gateway) watch() {
 	close(g.done)
 }
 
-// sweep periodically pushes partial stages into their shard queues so a
-// quiet stream still sees records within about one StageInterval.
-func (g *Gateway) sweep() {
-	t := time.NewTicker(g.cfg.StageInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.ctx.Done():
-			return
-		case <-g.done:
-			return
-		case <-t.C:
-			for _, s := range g.shards {
-				// TryLock: a producer blocked on this shard's full
-				// queue holds its stageMu, and waiting on it would
-				// stall sweeping for every other shard.
-				if !s.stageMu.TryLock() {
-					continue
-				}
-				if !s.dead && len(s.stage) > 0 {
-					msg := g.takeStage(s)
-					select {
-					case s.in <- msg:
-					default:
-						// Queue full: the worker is busy; put the
-						// stage back for the next sweep or until
-						// it fills. (Its ingest-stage span is
-						// already recorded; the zero start stamp
-						// keeps it from being recorded twice.)
-						s.stage = msg.batch
-					}
-				}
-				s.stageMu.Unlock()
-			}
-		}
-	}
-}
-
 // shardOf routes a user to a shard: FNV-1a over the identity, mod N. Stable
 // across processes and shard-local for every record of one user.
 func shardOf(user string, n int) int {
@@ -810,6 +773,13 @@ func (g *Gateway) Ingest(rec trace.Record) error {
 	s.stage = append(s.stage, rec)
 	s.ingested.Add(1)
 	if len(s.stage) < g.cfg.StageSize {
+		if s.idle {
+			s.idle = false
+			select {
+			case s.wake <- struct{}{}:
+			default: // a wake-up is already pending
+			}
+		}
 		return nil
 	}
 	// Full stage: hand the batch to the worker, blocking for
@@ -1219,19 +1189,18 @@ func (g *Gateway) setErr(err error) {
 }
 
 // run is the shard worker loop: consume queued batches, window per user,
-// flush full windows. On cancellation it drains whatever is already queued
+// flush full windows. When the queue is empty it takes the partial stage
+// (pollStage), and when that is empty too it parks until a producer queues
+// or stages something. On cancellation it drains whatever is already queued
 // (bounded by QueueSize) and flushes every user's remainder; on channel
 // close (Close) it does the same after the queue empties.
 func (g *Gateway) run(s *shard) {
 	defer g.wg.Done()
 	for {
+		var msg shardMsg
+		ok := true
 		select {
-		case msg, ok := <-s.in:
-			if !ok {
-				g.drain(s)
-				return
-			}
-			g.handleMsg(s, msg)
+		case msg, ok = <-s.in:
 		case <-g.ctx.Done():
 			for {
 				select {
@@ -1246,8 +1215,52 @@ func (g *Gateway) run(s *shard) {
 					return
 				}
 			}
+		default:
+			// A wake-up, cancellation or a poll to retry leaves msg zero,
+			// which handleMsg ignores; the next pass sees what changed.
+			var park bool
+			if msg, park = g.pollStage(s); park {
+				select {
+				case msg, ok = <-s.in:
+				case <-s.wake:
+				case <-g.ctx.Done():
+				}
+			}
+		}
+		if !ok {
+			g.drain(s)
+			return
+		}
+		g.handleMsg(s, msg)
+		if msg.batch != nil {
+			s.spare = msg.batch
 		}
 	}
+}
+
+// pollStage is the worker's step when its queue is empty: it takes the
+// partial stage, or, with nothing staged, marks the shard idle and reports
+// that the worker may park. The worker never blocks on stageMu, because a
+// producer waiting on this shard's full queue holds it: when the lock is
+// taken the worker yields and returns to its queue. Queued messages are
+// older than anything staged (producers send under stageMu), so a queue
+// that refilled since the worker looked is served first.
+func (g *Gateway) pollStage(s *shard) (msg shardMsg, park bool) {
+	if !s.stageMu.TryLock() {
+		runtime.Gosched()
+		return shardMsg{}, false
+	}
+	defer s.stageMu.Unlock()
+	switch {
+	case len(s.in) > 0:
+	case len(s.stage) > 0:
+		msg = g.takeStage(s)
+		s.stage, s.spare = s.spare[:0], nil
+	default:
+		s.idle = true
+		park = true
+	}
+	return msg, park
 }
 
 // handleMsg windows each record of a queued batch and executes any control

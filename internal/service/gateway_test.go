@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -331,7 +333,6 @@ func TestGatewaySwapVisibleOnlyAtWindowBoundary(t *testing.T) {
 		Mechanism:  mech,
 		Shards:     2,
 		FlushEvery: flushEvery,
-		StageSize:  1, // no staging: records reach shards as ingested
 		Seed:       42,
 	}
 	baseline, _ := runGateway(t, cfg, recs)
@@ -542,22 +543,73 @@ func TestGatewayConfigValidation(t *testing.T) {
 	}
 }
 
+// parkTap parks the shard worker inside Observe of its user's first
+// window until release closes, so a test can hold records in the stage
+// while the worker provably cannot take them.
+type parkTap struct {
+	user    string
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newParkTap(user string) *parkTap {
+	return &parkTap{user: user, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (p *parkTap) User(user string) TapUser {
+	if user != p.user {
+		return nil
+	}
+	return p
+}
+
+func (p *parkTap) Sample(int) bool { return true }
+
+// Observe is called once: the test flushes the parked user once.
+func (p *parkTap) Observe(_ uint64, _, _ []trace.Record) {
+	close(p.entered)
+	<-p.release
+}
+
+// stagedLen reads a shard's stage occupancy under its lock.
+func stagedLen(s *shard) int {
+	s.stageMu.Lock()
+	defer s.stageMu.Unlock()
+	return len(s.stage)
+}
+
+// awaitCond spins (yielding) until cond holds; the watchdog only bounds a
+// failure.
+func awaitCond(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestGatewayFlushUserEmitsStagedTail is the network front-end's contract:
 // a FlushUser issued after the last Ingest of a user must flush exactly the
 // records pushed so far — including ones still sitting in the shard's stage
 // buffer — and return only once the window has been handed to Output.
+// An idle worker takes a partial stage at once, so the test parks the
+// worker in a tap first: the records are then provably still staged when
+// the flush is issued, and only FlushUser can carry them to the worker.
 func TestGatewayFlushUserEmitsStagedTail(t *testing.T) {
 	g, err := New(context.Background(), Config{
 		Mechanism:  lppm.NewGeoIndistinguishability(),
-		Shards:     2,
+		Shards:     1,
 		FlushEvery: 64, // never reached: only FlushUser emits
-		// Default StageSize (32) > the record count, so everything is
-		// still staged when the flush command is issued.
-		Seed: 9,
+		Seed:       9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tap := newParkTap("blk")
+	g.SetTap(tap)
 	windows := make(chan []trace.Record, 8)
 	go func() {
 		for w := range g.Output() {
@@ -565,11 +617,34 @@ func TestGatewayFlushUserEmitsStagedTail(t *testing.T) {
 		}
 		close(windows)
 	}()
+	if err := g.Ingest(trace.Record{User: "blk", Time: gwT0, Point: gwBase}); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() { parked <- g.FlushUser("blk") }()
+	<-tap.entered
+
+	s := g.shards[0]
 	recs := makeRecords(2, 3) // u00, u01 × 3 records
 	if err := g.IngestAll(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.FlushUser("u00"); err != nil {
+	if n := stagedLen(s); n != len(recs) {
+		t.Fatalf("%d records staged behind the parked worker, want %d", n, len(recs))
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- g.FlushUser("u00") }()
+	// The parked worker cannot take the stage, so it empties only when
+	// FlushUser queues it ahead of its command.
+	awaitCond(t, "FlushUser takes the stage", func() bool { return stagedLen(s) == 0 })
+	close(tap.release)
+	if err := <-parked; err != nil {
+		t.Fatal(err)
+	}
+	if w := <-windows; len(w) != 1 || w[0].User != "blk" {
+		t.Fatalf("first window = %d records of %q, want the parked user's 1", len(w), w[0].User)
+	}
+	if err := <-flushed; err != nil {
 		t.Fatal(err)
 	}
 	// FlushUser returns only after the emit, so the window is already
@@ -605,8 +680,183 @@ func TestGatewayFlushUserEmitsStagedTail(t *testing.T) {
 	if err := g.FlushUser("u00"); err != ErrClosed {
 		t.Errorf("FlushUser after Close = %v, want ErrClosed", err)
 	}
-	if st := g.Stats(); st.Emitted != 6 || st.Dropped != 0 {
-		t.Errorf("emitted %d dropped %d, want 6 and 0", st.Emitted, st.Dropped)
+	if st := g.Stats(); st.Emitted != 7 || st.Dropped != 0 {
+		t.Errorf("emitted %d dropped %d, want 7 and 0", st.Emitted, st.Dropped)
+	}
+}
+
+// TestGatewayLoneRecordIsPrompt: a record staged on an idle shard reaches
+// Output with no other traffic and no timer in the gateway — the worker,
+// parked on an empty queue and stage, is woken by the record itself. Each
+// round waits for the worker to park first, so a lost wake-up hangs until
+// the watchdog fires.
+func TestGatewayLoneRecordIsPrompt(t *testing.T) {
+	g, err := New(context.Background(), Config{
+		Mechanism:  lppm.NewGeoIndistinguishability(),
+		Shards:     1,
+		FlushEvery: 1,
+		Seed:       3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.shards[0]
+	watchdog := time.NewTimer(time.Minute)
+	defer watchdog.Stop()
+	for i := range 3 {
+		awaitCond(t, "the worker parks", func() bool {
+			s.stageMu.Lock()
+			defer s.stageMu.Unlock()
+			return s.idle
+		})
+		rec := trace.Record{User: "lone", Time: gwT0.Add(time.Duration(i) * time.Minute), Point: gwBase}
+		if err := g.Ingest(rec); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case w := <-g.Output():
+			if len(w.Records) != 1 || w.Records[0].User != "lone" {
+				t.Fatalf("round %d: window = %d records of %q, want 1 of lone", i, len(w.Records), w.Records[0].User)
+			}
+		case <-watchdog.C:
+			t.Fatalf("round %d: a lone staged record never reached Output (lost wake-up)", i)
+		}
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range g.Output() {
+	}
+}
+
+// TestGatewayIdleTakeKeepsOrder: queued batches are older than the
+// stage, so a worker that takes the partial stage must not overtake a
+// batch queued since it found the queue empty. With one-record windows
+// each user's output order is its ingest order, and any overtaking shows
+// as a timestamp going backwards.
+func TestGatewayIdleTakeKeepsOrder(t *testing.T) {
+	const producers, perProducer = 8, 2000
+	g, err := New(context.Background(), Config{
+		Mechanism:  lppm.NewGeoIndistinguishability(),
+		Shards:     1,
+		QueueSize:  64,
+		StageSize:  2,
+		FlushEvery: 1,
+		Seed:       13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backwards := make(chan string, 1)
+	go func() {
+		last := make(map[string]time.Time)
+		var bad string
+		for w := range g.Output() {
+			r := w.Records[0]
+			if prev, ok := last[r.User]; ok && !r.Time.After(prev) && bad == "" {
+				bad = fmt.Sprintf("%s: %v after %v", r.User, r.Time, prev)
+			}
+			last[r.User] = r.Time
+		}
+		backwards <- bad
+	}()
+	var wg sync.WaitGroup
+	for p := range producers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			user := fmt.Sprintf("p%d", p)
+			for i := range perProducer {
+				rec := trace.Record{User: user, Time: gwT0.Add(time.Duration(i) * time.Second), Point: gwBase}
+				if err := g.Ingest(rec); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bad := <-backwards; bad != "" {
+		t.Fatalf("a staged record overtook a queued batch: %s", bad)
+	}
+}
+
+// TestGatewayFullQueueNoDeadlock stresses the idle take against
+// backpressure: with a one-batch queue, producers routinely hold the stage
+// lock while blocked on the full queue, so a worker that waited for that
+// lock instead of serving its queue would deadlock with them. FlushUser
+// calls interleave the control path's own sends under the lock.
+func TestGatewayFullQueueNoDeadlock(t *testing.T) {
+	const producers, perProducer = 8, 300
+	g, err := New(context.Background(), Config{
+		Mechanism:  lppm.NewGeoIndistinguishability(),
+		Shards:     1,
+		QueueSize:  2,
+		StageSize:  2,
+		FlushEvery: 4,
+		Seed:       11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumed := make(chan int)
+	go func() {
+		n := 0
+		for w := range g.Output() {
+			n += len(w.Records)
+		}
+		consumed <- n
+	}()
+	errs := make(chan error, producers)
+	var wg sync.WaitGroup
+	for p := range producers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			user := fmt.Sprintf("p%d", p)
+			for i := range perProducer {
+				rec := trace.Record{User: user, Time: gwT0.Add(time.Duration(i) * time.Second), Point: gwBase}
+				if err := g.Ingest(rec); err != nil {
+					errs <- err
+					return
+				}
+				if i%7 == 6 {
+					if err := g.FlushUser(user); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	watchdog := time.NewTimer(time.Minute)
+	defer watchdog.Stop()
+	select {
+	case <-finished:
+	case <-watchdog.C:
+		t.Fatalf("producers deadlocked against the shard worker: %+v", g.Stats())
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = producers * perProducer
+	if n := <-consumed; n != want {
+		t.Errorf("consumed %d records, want %d", n, want)
+	}
+	if st := g.Stats(); st.Ingested != want || st.Emitted != want || st.Dropped != 0 {
+		t.Errorf("ingested %d emitted %d dropped %d, want %d, %d, 0", st.Ingested, st.Emitted, st.Dropped, want, want)
 	}
 }
 

@@ -33,7 +33,6 @@ func cmConfig() Config {
 		Params:     lppm.Params{lppm.EpsilonParam: 0.8},
 		Shards:     2,
 		FlushEvery: cmFlushEvery,
-		StageSize:  1, // no staging: every record queues immediately
 		QueueSize:  64,
 		Seed:       cmSeed,
 	}
