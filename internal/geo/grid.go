@@ -4,7 +4,7 @@ import "fmt"
 
 // Cell identifies one square of a Grid by its integer column (east) and row
 // (north) indices. Cells are comparable and usable as map keys, which is how
-// the coverage metrics build cell sets.
+// the heat-map and entropy metrics count visits per cell.
 type Cell struct {
 	Col, Row int
 }

@@ -20,6 +20,13 @@
 // inside this module. A goroutine blocked in a stdlib primitive still
 // shows its module caller frames, so sends, selects, and Waits in
 // module code are all caught.
+//
+// The converse is the blind spot: a stdlib goroutine that module code
+// strands has no module frame, so it is not counted. An HTTP transport's
+// request-body writer (net/http.(*persistConn).writeLoop) parked reading
+// an io.Pipe that module code never closes is one; tests for that shape
+// scan the stacks for the stdlib frames themselves, as
+// TestServerEndedStreamReleasesBodyWriter in internal/server does.
 package leakcheck
 
 import (

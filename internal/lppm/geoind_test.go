@@ -136,3 +136,19 @@ func TestGeoIIndistinguishabilityProperty(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGeoIProtect prices the mechanism per record: one planar-Laplace
+// draw (a uniform angle and an exact W₋₁ radius) and the offset.
+func BenchmarkGeoIProtect(b *testing.B) {
+	tr := mkTrace(b, "u", 1000)
+	g := NewGeoIndistinguishability()
+	p := Params{EpsilonParam: 0.01}
+	r := rng.New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Protect(tr, p, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Len()), "ns/rec")
+}

@@ -14,7 +14,7 @@ var (
 	basePt = geo.Point{Lat: 37.7749, Lng: -122.4194}
 )
 
-func mkTrace(t *testing.T, user string, n int) *trace.Trace {
+func mkTrace(t testing.TB, user string, n int) *trace.Trace {
 	t.Helper()
 	recs := make([]trace.Record, n)
 	for i := range recs {

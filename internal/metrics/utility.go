@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/geo"
@@ -70,9 +71,9 @@ func (m *AreaCoverage) Evaluate(actual, protected *trace.Trace) (float64, error)
 	return m.Prepare(actual).Evaluate(protected)
 }
 
-// Prepare implements Preparable: the shared tessellation and the actual
-// coverage set are built once; the protected coverage set is rebuilt per
-// Evaluate in a reused map.
+// Prepare implements Preparable: the shared tessellation, the actual
+// trace's cell set and that set dilated by ToleranceCells are built once;
+// Evaluate reuses two scratch sets.
 func (m *AreaCoverage) Prepare(actual *trace.Trace) PreparedMetric {
 	p := &preparedAreaCoverage{tol: m.cfg.ToleranceCells}
 	if actual.Len() == 0 {
@@ -83,33 +84,32 @@ func (m *AreaCoverage) Prepare(actual *trace.Trace) PreparedMetric {
 	first := actual.Records[0].Point
 	origin := geo.Point{Lat: math.Floor(first.Lat), Lng: math.Floor(first.Lng)}
 	p.grid = geo.NewGrid(origin, m.cfg.CellSizeMeters)
-	p.actualCov = coverageInto(nil, p.grid, actual)
+	p.actual, p.dilated = make(cellTiles), make(cellTiles)
+	for _, r := range actual.Records {
+		c := p.grid.CellOf(r.Point)
+		if p.actual.add(c) {
+			p.actualCells++
+			p.dilated.addSquare(c, p.tol)
+		}
+	}
 	return p
 }
 
-// coverageInto is geo.Grid.Coverage over a trace's records, writing into
-// dst (allocated when nil, cleared otherwise) — one implementation serves
-// both coverage sets.
-func coverageInto(dst map[geo.Cell]struct{}, grid *geo.Grid, t *trace.Trace) map[geo.Cell]struct{} {
-	if dst == nil {
-		dst = make(map[geo.Cell]struct{}, t.Len()/4+1)
-	} else {
-		clear(dst)
-	}
-	for _, r := range t.Records {
-		dst[grid.CellOf(r.Point)] = struct{}{}
-	}
-	return dst
-}
-
-// preparedAreaCoverage is AreaCoverage with the grid and actual coverage
-// hoisted and the protected coverage map reused across calls.
+// preparedAreaCoverage is AreaCoverage with the grid, the actual cell set
+// and its dilation hoisted, and the protected-side sets reused across
+// calls. Precision counts the distinct protected cells that fall in the
+// dilation (an actual cell lies within tol); recall counts the actual cells
+// that fall in the protected cells' dilation. Both are the integer counts
+// of the plain set definition, so the F1 is exact.
 type preparedAreaCoverage struct {
-	tol          int
-	emptyActual  bool
-	grid         *geo.Grid
-	actualCov    map[geo.Cell]struct{}
-	protectedCov map[geo.Cell]struct{} // scratch, cleared per call
+	tol         int
+	emptyActual bool
+	grid        *geo.Grid
+	actual      cellTiles
+	actualCells int
+	dilated     cellTiles // actual dilated by tol
+	seen        cellTiles // scratch: distinct protected cells
+	reached     cellTiles // scratch: seen dilated by tol
 }
 
 // Evaluate implements PreparedMetric.
@@ -123,42 +123,79 @@ func (p *preparedAreaCoverage) Evaluate(protected *trace.Trace) (float64, error)
 	if protected.Len() == 0 {
 		return 0, nil
 	}
-	p.protectedCov = coverageInto(p.protectedCov, p.grid, protected)
-	if p.tol == 0 {
-		return geo.CellSetF1(p.actualCov, p.protectedCov), nil
+	if p.seen == nil {
+		p.seen, p.reached = make(cellTiles), make(cellTiles)
+	} else {
+		clear(p.seen)
+		clear(p.reached)
 	}
-	precision := coveredFraction(p.protectedCov, p.actualCov, p.tol)
-	recall := coveredFraction(p.actualCov, p.protectedCov, p.tol)
+	cells, hits := 0, 0
+	for _, r := range protected.Records {
+		c := p.grid.CellOf(r.Point)
+		if !p.seen.add(c) {
+			continue
+		}
+		cells++
+		if p.dilated.has(c) {
+			hits++
+		}
+		p.reached.addSquare(c, p.tol)
+	}
+	inter := 0
+	for k, m := range p.reached {
+		inter += bits.OnesCount64(m & p.actual[k])
+	}
+	precision := float64(hits) / float64(cells)
+	recall := float64(inter) / float64(p.actualCells)
 	if precision+recall == 0 {
 		return 0, nil
 	}
 	return 2 * precision * recall / (precision + recall), nil
 }
 
-// coveredFraction returns the fraction of cells in "from" that have a cell
-// of "against" within Chebyshev distance tol.
-func coveredFraction(from, against map[geo.Cell]struct{}, tol int) float64 {
-	if len(from) == 0 {
-		return 0
-	}
-	hit := 0
-	for c := range from {
-		if hasNeighbor(against, c, tol) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(from))
+// cellTiles is a sparse set of grid cells held as 8×8-cell tiles: the key
+// packs the tile's (Row>>3, Col>>3), the value has bit (Row&7)·8 + (Col&7)
+// set for each member. Memory follows the occupied tiles, not the extent of
+// the set. Keys are exact while tile indices fit in 32 bits, |Col| and
+// |Row| below 2³⁴: on Earth, any cell larger than 3 mm.
+type cellTiles map[uint64]uint64
+
+func tileKey(row, col int) uint64 {
+	return uint64(uint32(row>>3))<<32 | uint64(uint32(col>>3))
 }
 
-func hasNeighbor(set map[geo.Cell]struct{}, c geo.Cell, tol int) bool {
-	for dc := -tol; dc <= tol; dc++ {
-		for dr := -tol; dr <= tol; dr++ {
-			if _, ok := set[geo.Cell{Col: c.Col + dc, Row: c.Row + dr}]; ok {
-				return true
-			}
+func cellBit(c geo.Cell) uint64 { return 1 << (uint(c.Row&7)<<3 | uint(c.Col&7)) }
+
+// add inserts c and reports whether it was absent.
+func (s cellTiles) add(c geo.Cell) bool {
+	k, b := tileKey(c.Row, c.Col), cellBit(c)
+	m := s[k]
+	if m&b != 0 {
+		return false
+	}
+	s[k] = m | b
+	return true
+}
+
+func (s cellTiles) has(c geo.Cell) bool { return s[tileKey(c.Row, c.Col)]&cellBit(c) != 0 }
+
+// rowSpread[n] has the low bit of each of the first n bytes set: times an
+// 8-bit row mask it repeats that row n times down a tile.
+var rowSpread = [9]uint64{0, 0x01, 0x0101, 0x010101, 0x01010101, 0x0101010101,
+	0x010101010101, 0x01010101010101, 0x0101010101010101}
+
+// addSquare inserts every cell within Chebyshev distance tol of c, one
+// mask OR per tile the square touches.
+func (s cellTiles) addSquare(c geo.Cell, tol int) {
+	r0, r1, c0, c1 := c.Row-tol, c.Row+tol, c.Col-tol, c.Col+tol
+	for tr := r0 &^ 7; tr <= r1; tr += 8 {
+		rlo, rhi := max(r0, tr), min(r1, tr+7)
+		for tc := c0 &^ 7; tc <= c1; tc += 8 {
+			clo, chi := max(c0, tc), min(c1, tc+7)
+			row := (uint64(1)<<uint(chi-clo+1) - 1) << uint(clo-tc)
+			s[tileKey(tr, tc)] |= row * rowSpread[rhi-rlo+1] << uint((rlo-tr)<<3)
 		}
 	}
-	return false
 }
 
 // MeanDisplacement is an auxiliary utility metric: the mean distance in

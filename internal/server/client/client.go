@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -284,7 +285,8 @@ type Stream struct {
 	resp *http.Response
 
 	recs    chan trace.Record
-	readErr error // set before recs closes
+	readErr error         // set before recs closes
+	ended   chan struct{} // closed once the response has ended
 
 	sent *obs.Counter // nil without WithObs
 	recv *obs.Counter
@@ -318,14 +320,20 @@ func (c *Client) Stream(ctx context.Context) (st *Stream, err error) {
 		resp.Body.Close() //lppm:allow droppederr -- best-effort abort of a stream that never started; err already carries the cause
 		return nil, err
 	}
-	st = &Stream{pw: pw, rw: rw, resp: resp, recs: make(chan trace.Record, 64), sent: c.sent, recv: c.recv}
+	st = &Stream{pw: pw, rw: rw, resp: resp, recs: make(chan trace.Record, 64), ended: make(chan struct{}), sent: c.sent, recv: c.recv}
 	go st.decodeLoop() //lppm:allow goroleak -- sends on st.recs until EOF; the Stream contract (Recv-until-nil or Close, whose drainer empties recs) guarantees a receiver
 	return st, nil
 }
 
+// errStreamEnded fails Send and CloseSend once the server has ended the
+// response: nothing reads the request body any more.
+var errStreamEnded = errors.New("client: the server ended the stream")
+
 // decodeLoop scans the response into the Recv channel, then records the
 // terminal state: a scan error, or the server's X-Stream-Error trailer
-// (readable only after the body hits EOF).
+// (readable only after the body hits EOF). It then fails the request body,
+// so the transport's body writer, parked on the pipe until the caller's
+// CloseSend or Close, exits with the response.
 func (st *Stream) decodeLoop() {
 	err := trace.ScanRecords(st.resp.Body, trace.FormatJSONL, func(rec trace.Record) error {
 		if st.recv != nil {
@@ -340,6 +348,8 @@ func (st *Stream) decodeLoop() {
 		}
 	}
 	st.readErr = err
+	st.pw.CloseWithError(errStreamEnded) // keeps the first error if CloseSend or Close came first
+	close(st.ended)
 	close(st.recs)
 }
 
@@ -361,10 +371,16 @@ func (st *Stream) Send(rec trace.Record) error {
 
 // CloseSend ends the request body: the server flushes this connection's
 // pending windows and closes the response after delivering them. Recv
-// drains the remainder and then reports io.EOF.
+// drains the remainder and then reports io.EOF. Once the server has ended
+// the response on its own (a drain, say), it returns an error, as Send does.
 func (st *Stream) CloseSend() error {
 	if err := st.rw.Flush(); err != nil {
 		return err
+	}
+	select {
+	case <-st.ended:
+		return errStreamEnded
+	default:
 	}
 	return st.pw.Close()
 }

@@ -588,6 +588,99 @@ func TestGracefulDrainDeliversTail(t *testing.T) {
 	}
 }
 
+// parkedBodyWriters counts HTTP transport goroutines writing a request body
+// that are blocked reading its pipe: a client stream's sending half.
+func parkedBodyWriters() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	parked := 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "net/http.(*persistConn).writeLoop") && strings.Contains(g, "io.(*pipe).read") {
+			parked++
+		}
+	}
+	return parked
+}
+
+// TestServerEndedStreamReleasesBodyWriter: when the server ends a stream's
+// response first (a drain) and the caller never calls CloseSend or Close,
+// the transport's request-body writer must still exit with the response,
+// and the sending half must fail instead of blocking or succeeding. The
+// deadlines only bound a failure; a pass returns as soon as the writer is
+// gone.
+func TestServerEndedStreamReleasesBodyWriter(t *testing.T) {
+	waitParked := func(what string, ok func(int) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for n := parkedBodyWriters(); !ok(n); n = parkedBodyWriters() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d transport body writers parked on a pipe", what, n)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	before := parkedBodyWriters()
+	env := newEnv(t, baseGatewayConfig(67), nil)
+	ctx := context.Background()
+	st, err := env.cl.Stream(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := makeRecords(2, 3)
+	for _, rec := range recs {
+		if err := st.Send(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The open stream's writer is visible to the scan, so a pass below is
+	// not a scan that matches nothing.
+	waitParked("open stream", func(n int) bool { return n > before })
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		stats, err := env.cl.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Gateway.Ingested == uint64(len(recs)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("records never ingested: %+v", stats.Gateway)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	drainDone := make(chan error, 1)
+	go func() {
+		dctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		drainDone <- env.srv.Drain(dctx)
+	}()
+	got := 0
+	for {
+		if _, err := st.Recv(); err != nil {
+			break
+		}
+		got++
+	}
+	if got != len(recs) {
+		t.Errorf("drain delivered %d records, want %d", got, len(recs))
+	}
+	if err := <-drainDone; err != nil {
+		t.Fatalf("drain returned %v", err)
+	}
+	waitParked("after the server ended the stream", func(n int) bool { return n <= before })
+	if err := st.Send(recs[0]); err == nil {
+		t.Error("Send after the server ended the stream succeeded")
+	}
+	if err := st.CloseSend(); err == nil {
+		t.Error("CloseSend after the server ended the stream succeeded")
+	}
+}
+
 // TestConcurrentStreamsPartitionUsers: many connections, disjoint users,
 // all output attributed to the right connection — the multiplexing
 // contract under concurrency.

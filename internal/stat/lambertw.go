@@ -14,51 +14,78 @@ import (
 //
 // whose inverse is r = −(1/ε)·(W₋₁((p−1)/e) + 1).
 //
-// The implementation seeds with the asymptotic series near the branch point
-// and for small |x|, then polishes with Halley iterations to ~1e-14 relative
-// accuracy.
+// The starting point is a truncated series, within 0.7% of W₋₁: for
+// x < −0.2, the branch-point series in p = −√(2(1+e·x)) through p⁹;
+// elsewhere, the asymptotic expansion in L₁ = ln(−x), L₂ = ln(−L₁) through
+// its fourth correction. Exactly two Halley steps follow. Halley converges
+// cubically, so two steps take either start to within an ulp or two, at a
+// fixed cost per call: the relative residual |w·e^w − x|/|x| stays below
+// 4e-15 wherever GEO-I draws x, x ∈ [−1/e, −2⁻⁵³/e].
 func LambertWm1(x float64) (float64, error) {
 	const negInvE = -1.0 / math.E
-	if x < negInvE-1e-15 || x >= 0 {
+	if !(x >= negInvE-1e-15 && x < 0) { // also rejects NaN
 		return 0, fmt.Errorf("stat: LambertWm1 domain is [-1/e, 0), got %v", x)
 	}
-	if x <= negInvE {
+	q := 1 + math.E*x
+	if x <= negInvE || q <= 0 {
 		return -1, nil
 	}
-
-	// Initial guess.
+	// For |x| < 2⁻⁹⁰⁰, x and e^w near the subnormal range, where they carry
+	// fewer bits (and math.Log is inexact on amd64), so work with x·2¹²⁸
+	// and e^(w + 128·ln 2); the Halley step is a ratio, unchanged by it.
+	shift, xs := 0.0, x
+	if x > -0x1p-900 {
+		shift, xs = 128*math.Ln2, x*0x1p128
+	}
 	var w float64
-	if x > -0.1 {
-		// Near zero: W₋₁(x) ≈ ln(−x) − ln(−ln(−x)).
-		l1 := math.Log(-x)
-		l2 := math.Log(-l1)
-		w = l1 - l2 + l2/l1
+	if x < -0.2 {
+		p := -math.Sqrt(2 * q)
+		w = branchSeries[len(branchSeries)-1]
+		for k := len(branchSeries) - 2; k >= 0; k-- {
+			w = w*p + branchSeries[k]
+		}
 	} else {
-		// Near the branch point −1/e: series in p = −sqrt(2(1+ex)).
-		p := -math.Sqrt(2 * (1 + math.E*x))
-		w = -1 + p - p*p/3 + 11*p*p*p/72
+		l1 := math.Log(-xs) - shift
+		l2 := math.Log(-l1)
+		// Horner in 1/L₁ over Horner in L₂; no P_n has a constant term,
+		// so L₂ factors out.
+		a := &asymptoticSeries
+		inv := 1 / l1
+		t := (((a[3][4]*l2+a[3][3])*l2+a[3][2])*l2 + a[3][1]) * inv
+		t = (t + ((a[2][3]*l2+a[2][2])*l2 + a[2][1])) * inv
+		t = (t + (a[1][2]*l2 + a[1][1])) * inv
+		t = (t + a[0][1]) * inv
+		w = l1 - l2 + t*l2
 	}
-
-	// Halley iteration: w ← w − f/(f'·(1 − f·f''/(2 f'²))) with
-	// f(w) = w·e^w − x.
-	for i := 0; i < 50; i++ {
-		ew := math.Exp(w)
-		f := w*ew - x
-		if f == 0 {
-			break
-		}
+	// Halley steps on f(w) = w·e^w − x, written without dividing by w+1.
+	for range 2 {
+		ew := math.Exp(w + shift)
+		f := w*ew - xs
 		wp1 := w + 1
-		denom := ew*wp1 - (w+2)*f/(2*wp1)
-		if denom == 0 {
-			break
-		}
-		dw := f / denom
-		w -= dw
-		if math.Abs(dw) <= 1e-15*(1+math.Abs(w)) {
-			break
-		}
+		w -= 2 * wp1 * f / (2*ew*wp1*wp1 - (w+2)*f)
 	}
-	return w, nil
+	// Within a few ulps of −1/e, f is rounding noise as large as the true
+	// w+1, and a step can land just past the branch point.
+	return min(w, -1), nil
+}
+
+// branchSeries[k] is the coefficient of p^k in W₋₁(x) = Σ branchSeries[k]·p^k
+// with p = −√(2(1+e·x)), the expansion about the branch point −1/e.
+var branchSeries = [...]float64{
+	-1, 1, -1.0 / 3, 11.0 / 72, -43.0 / 540, 769.0 / 17280, -221.0 / 8505,
+	680863.0 / 43545600, -1963.0 / 204120, 226287557.0 / 37623398400,
+}
+
+// asymptoticSeries[n-1][m] is the coefficient of L₂^m/L₁^n in
+// W₋₁(x) = L₁ − L₂ + Σ_n Σ_m asymptoticSeries[n-1][m]·L₂^m/L₁^n, the
+// expansion as x → 0⁻ with L₁ = ln(−x), L₂ = ln(−L₁). It is
+// (−1)^(n−m)·[n, n−m+1]/m!, with [·,·] the unsigned Stirling numbers of
+// the first kind.
+var asymptoticSeries = [4][5]float64{
+	{0, 1},
+	{0, -1, 1.0 / 2},
+	{0, 1, -3.0 / 2, 1.0 / 3},
+	{0, -1, 3, -11.0 / 6, 1.0 / 4},
 }
 
 // PlanarLaplaceRadiusQuantile returns the radius r such that a planar

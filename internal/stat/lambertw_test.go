@@ -115,3 +115,55 @@ func TestPlanarLaplaceCDFShape(t *testing.T) {
 		t.Errorf("CDF(huge) = %v, want ~1", got)
 	}
 }
+
+// FuzzLambertWm1 checks, for any float64: out-of-domain inputs (NaN
+// included) are errors; in-domain outputs lie on the branch (w ≤ −1),
+// solve w·e^w = x to the residual TestLambertWm1BigReference bounds, and
+// never rise when x rises by one part in 10¹² — a step far larger than
+// the rounding error of w, so a wrong branch or a non-converged draw shows.
+func FuzzLambertWm1(f *testing.F) {
+	f.Fuzz(func(t *testing.T, x float64) {
+		w, err := LambertWm1(x)
+		if !(x >= -1/math.E-1e-15 && x < 0) {
+			if err == nil {
+				t.Fatalf("LambertWm1(%v) = %v, want a domain error", x, w)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("LambertWm1(%v): %v", x, err)
+		}
+		if !(w <= -1) {
+			t.Fatalf("LambertWm1(%v) = %v, want ≤ −1", x, w)
+		}
+		if x < -1/math.E { // the tolerated sliver below −1/e
+			return
+		}
+		bound := 4e-15
+		if x > -0x1p-53/math.E {
+			bound = 0x1p-51 * math.Abs(w)
+		}
+		if res := bigResidual(x, w); res > bound {
+			t.Fatalf("LambertWm1(%v) = %v: residual %.3g > %.3g", x, w, res, bound)
+		}
+		if x2 := x * (1 - 1e-12); x2 < 0 {
+			if w2, err := LambertWm1(x2); err != nil || w2 > w {
+				t.Fatalf("LambertWm1(%v) = %v but LambertWm1(%v) = %v, %v", x, w, x2, w2, err)
+			}
+		}
+	})
+}
+
+func BenchmarkLambertWm1(b *testing.B) {
+	xs := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = (float64(i)+0.5)/float64(len(xs)) - 1
+		xs[i] /= math.E
+	}
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		w, _ := LambertWm1(xs[i&1023])
+		sink += w
+	}
+	_ = sink
+}
