@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test bench-smoke bench bench-serve bench-obs bench-journal fuzz-smoke trace-smoke clean
+.PHONY: all check vet lint build test bench-smoke bench bench-obs bench-journal fuzz-smoke trace-smoke clean
 
 all: check
 
@@ -11,13 +11,10 @@ vet:
 
 # The project-invariant analyzer suite (internal/analysis): determinism,
 # error, lock, float-comparison, and concurrency discipline. -list
-# additionally fails if any analyzer lacks a golden test. LINT_JOBS caps
-# the parallel type-check/analysis workers (0 = GOMAXPROCS); output is
-# identical at every value.
-LINT_JOBS ?= 0
+# additionally fails if any analyzer lacks a golden test.
 lint:
 	$(GO) run ./cmd/lppm-lint -list
-	$(GO) run ./cmd/lppm-lint -j $(LINT_JOBS)
+	$(GO) run ./cmd/lppm-lint
 
 build:
 	$(GO) build ./...
@@ -77,15 +74,6 @@ fuzz-smoke:
 trace-smoke:
 	$(GO) run ./cmd/lppm-load -self-serve -users 4 -points 96 -flush 16 \
 		-conns 2 -trace-out trace.chrome
-
-# Loopback serving smoke: the load generator drives a synthetic fleet
-# through the HTTP front-end and records throughput + latency percentiles
-# to BENCH_serve.json. Compared shard layouts run in interleaved rounds
-# inside one process — the bench container is single-CPU, so numbers from
-# separate runs confound with machine state and are never comparable.
-bench-serve:
-	$(GO) run ./cmd/lppm-load -self-serve -users 8 -points 192 -flush 32 \
-		-conns 2 -compare-shards 1,4 -rounds 2 -out BENCH_serve.json
 
 clean:
 	$(GO) clean ./...

@@ -1,22 +1,19 @@
 // Command lppm-lint runs the repository's project-invariant analyzer
-// suite (see internal/analysis): determinism, error, lock, and
-// float-comparison discipline, machine-checked instead of asserted in
-// review. Exit status 1 means unsuppressed findings; every deliberate
-// exception in the tree is a `//lppm:allow <analyzer> -- <reason>`
-// pragma at the site.
+// suite (see internal/analysis): determinism, error, lock,
+// float-comparison and concurrency discipline, machine-checked instead
+// of asserted in review. Exit status 1 means unsuppressed findings;
+// every deliberate exception in the tree is a
+// `//lppm:allow <analyzer> -- <reason>` pragma at the site.
 //
 // Usage:
 //
-//	lppm-lint [-C dir] [-j n] [-json] [-list]
+//	lppm-lint [-C dir] [-json] [-list]
 //
 // Without flags it lints the module containing dir (default ".") and
-// prints findings as file:line:col: analyzer: message. -j sets the
-// number of parallel type-check/analysis workers (0, the default, means
-// GOMAXPROCS; -j 1 restores the serial order of operations, with
-// byte-identical output either way). -json emits one JSON object per
-// finding per line instead of the plain format — the contract CI
-// tooling consumes. With -list it prints the analyzer roster and
-// self-checks that each analyzer has a golden-file test under
+// prints findings as file:line:col: analyzer: message. -json emits one
+// JSON object per finding per line instead of the plain format — the
+// contract CI tooling consumes. With -list it prints the analyzer roster
+// and self-checks that each analyzer has a golden-file test under
 // internal/analysis/testdata/<name> containing at least one `// want`
 // expectation — an analyzer nobody tests is an invariant nobody checks.
 package main
@@ -55,7 +52,6 @@ func (n errFindings) Error() string {
 func run(args []string, out *strings.Builder) error {
 	fs := flag.NewFlagSet("lppm-lint", flag.ContinueOnError)
 	dir := fs.String("C", ".", "lint the module containing this directory")
-	jobs := fs.Int("j", 0, "parallel type-check/analysis workers (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON objects, one per line")
 	list := fs.Bool("list", false, "list analyzers and self-check golden-test coverage")
 	if err := fs.Parse(args); err != nil {
@@ -67,7 +63,7 @@ func run(args []string, out *strings.Builder) error {
 	if *list {
 		return selfCheck(*dir, out)
 	}
-	return lint(*dir, *jobs, *jsonOut, out)
+	return lint(*dir, *jsonOut, out)
 }
 
 // jsonFinding is the -json wire format: one object per line, stable
@@ -83,12 +79,12 @@ type jsonFinding struct {
 	Suppressible bool   `json:"suppressible"`
 }
 
-func lint(dir string, jobs int, jsonOut bool, out *strings.Builder) error {
-	pkgs, err := analysis.LoadModule(dir, jobs)
+func lint(dir string, jsonOut bool, out *strings.Builder) error {
+	pkgs, err := analysis.LoadModule(dir)
 	if err != nil {
 		return err
 	}
-	diags := analysis.Run(pkgs, analysis.All(), jobs)
+	diags := analysis.Run(pkgs, analysis.All())
 	if len(diags) == 0 {
 		return nil
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // The fixture module under testdata/badmod carries exactly one
-// violation (time.After in a loop), pinning both output formats and the
+// violation (an exact float64 comparison), pinning both output formats and the
 // exit contract without touching the real tree.
 
 func TestPlainOutput(t *testing.T) {
@@ -19,14 +19,14 @@ func TestPlainOutput(t *testing.T) {
 		t.Fatalf("run returned %v, want errFindings(1)", err)
 	}
 	got := out.String()
-	if !strings.HasPrefix(got, "x.go:9:5: timeleak: ") {
-		t.Fatalf("plain output = %q, want x.go:9:5: timeleak: prefix", got)
+	if !strings.HasPrefix(got, "x.go:6:14: floatcmp: ") {
+		t.Fatalf("plain output = %q, want x.go:6:14: floatcmp: prefix", got)
 	}
 }
 
 func TestJSONOutput(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-C", "testdata/badmod", "-json", "-j", "2"}, &out)
+	err := run([]string{"-C", "testdata/badmod", "-json"}, &out)
 	var n errFindings
 	if !errors.As(err, &n) || int(n) != 1 {
 		t.Fatalf("run returned %v, want errFindings(1)", err)
@@ -39,7 +39,7 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &f); err != nil {
 		t.Fatalf("line is not JSON: %v: %q", err, lines[0])
 	}
-	want := jsonFinding{Analyzer: "timeleak", File: "x.go", Line: 9, Col: 5, Suppressible: true}
+	want := jsonFinding{Analyzer: "floatcmp", File: "x.go", Line: 6, Col: 14, Suppressible: true}
 	if f.Analyzer != want.Analyzer || f.File != want.File || f.Line != want.Line || f.Col != want.Col || f.Suppressible != want.Suppressible {
 		t.Fatalf("finding = %+v, want %+v (message aside)", f, want)
 	}
@@ -53,7 +53,7 @@ func TestListSelfCheckPasses(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatalf("-list: %v\n%s", err, out.String())
 	}
-	for _, name := range []string{"goroleak", "ctxflow", "sendlock", "wgdiscipline", "timeleak"} {
+	for _, name := range []string{"goroleak", "ctxflow", "sendlock", "wgdiscipline", "floatcmp"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s", name)
 		}

@@ -9,22 +9,23 @@
 // (internal/obs), so memory stays constant however long the run and the
 // two sides quote comparable numbers.
 //
+// It also reports the k worst-latency records with the trace ID of the
+// stream that carried each, the handle to look that window up in a
+// tracing server's GET /trace.
+//
 // With -self-serve the generator starts the server in-process on a
-// loopback listener, which is also how -compare-shards benchmarks
-// alternative gateway layouts: configurations run in interleaved rounds
-// inside one process, so numbers stay comparable on a shared (or
-// single-CPU) host. With -out the report is written as JSON
-// (BENCH_serve.json in CI).
+// loopback listener; -trace-out then dumps that server's span ring as
+// Chrome trace_event JSON. It is a smoke and tracing driver, not the
+// repository's benchmark: that is bench/run.sh.
 //
 // Usage:
 //
-//	lppm-load -self-serve -users 16 -points 256 -compare-shards 1,4 -out BENCH_serve.json
+//	lppm-load -self-serve -users 4 -points 96 -flush 16 -trace-out trace.chrome
 //	lppm-serve -listen :8080 & lppm-load -addr http://127.0.0.1:8080 -users 50 -rate 2000
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,7 +34,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,7 +52,7 @@ import (
 )
 
 // logger is the generator's structured logger (stderr; the report goes
-// to stdout and -out).
+// to stdout).
 var logger *slog.Logger
 
 func fatal(err error) {
@@ -74,10 +74,7 @@ func main() {
 	flag.IntVar(&o.conns, "conns", 2, "concurrent stream connections the users spread over")
 	flag.Float64Var(&o.rate, "rate", 0, "total send rate in records/sec across all connections, 0 = unthrottled")
 	flag.Int64Var(&o.seed, "seed", 42, "master seed (fleet generation and server randomness)")
-	flag.IntVar(&o.rounds, "rounds", 0, "measurement rounds per configuration, 0 = 2 when comparing, 1 otherwise")
-	flag.StringVar(&o.compareShards, "compare-shards", "", "comma-separated shard counts to compare in interleaved rounds (-self-serve only), e.g. 1,4")
-	flag.StringVar(&o.outPath, "out", "", "write the report as JSON to this path")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write the in-process tracer's span ring as Chrome trace_event JSON to this path at teardown (-self-serve only; with rounds the last run wins)")
+	flag.StringVar(&o.traceOut, "trace-out", "", "write the in-process tracer's span ring as Chrome trace_event JSON to this path at teardown (-self-serve only)")
 	flag.IntVar(&o.exemplars, "exemplars", 3, "report the k worst-latency records as exemplars with their stream's trace ID, 0 disables")
 	params := lppm.Params{}
 	flag.Func("set", "mechanism parameter as name=value for -self-serve (repeatable)", func(s string) error {
@@ -95,41 +92,31 @@ func main() {
 	flag.Parse()
 	o.params = params
 
-	report, err := run(o)
+	r, err := run(o)
 	if err != nil {
 		fatal(err)
 	}
-	for _, c := range report.Configs {
-		fmt.Printf("%-12s  %10.0f points/sec   p50 %7.2f ms   p99 %7.2f ms   (%d records, %d rounds)\n",
-			c.Name, c.PointsPerSec, c.P50Millis, c.P99Millis, c.Records, c.Rounds)
-		for _, e := range c.Exemplars {
-			fmt.Printf("  slow record: user=%s latency=%.2fms trace=%s\n", e.User, e.LatencyMillis, e.Trace)
-		}
-	}
-	if o.outPath != "" {
-		if err := report.write(o.outPath); err != nil {
-			fatal(err)
-		}
+	fmt.Printf("%10.0f points/sec   p50 %7.2f ms   p99 %7.2f ms   (%d records)\n",
+		r.pointsPerSec, r.p50Millis, r.p99Millis, r.records)
+	for _, e := range r.exemplars {
+		fmt.Printf("  slow record: user=%s latency=%.2fms trace=%s\n", e.user, e.latencyMillis, e.trace)
 	}
 }
 
 type loadOpts struct {
-	addr          string
-	selfServe     bool
-	mechName      string
-	params        lppm.Params
-	shards        int
-	flushEvery    int
-	users         int
-	points        int
-	conns         int
-	rate          float64
-	seed          int64
-	rounds        int
-	compareShards string
-	outPath       string
-	traceOut      string
-	exemplars     int
+	addr       string
+	selfServe  bool
+	mechName   string
+	params     lppm.Params
+	shards     int
+	flushEvery int
+	users      int
+	points     int
+	conns      int
+	rate       float64
+	seed       int64
+	traceOut   string
+	exemplars  int
 }
 
 // validate fails fast with a single-line error before any work starts.
@@ -147,12 +134,8 @@ func (o *loadOpts) validate() error {
 		return fmt.Errorf("-conns must be >= 1, got %d", o.conns)
 	case o.rate < 0:
 		return fmt.Errorf("-rate must be non-negative, got %v", o.rate)
-	case o.rounds < 0:
-		return fmt.Errorf("-rounds must be non-negative, got %d", o.rounds)
 	case o.flushEvery < 1:
 		return fmt.Errorf("-flush must be >= 1, got %d", o.flushEvery)
-	case o.compareShards != "" && !o.selfServe:
-		return fmt.Errorf("-compare-shards needs -self-serve (it builds one server per configuration)")
 	case o.traceOut != "" && !o.selfServe:
 		return fmt.Errorf("-trace-out needs -self-serve (it dumps the in-process tracer's ring)")
 	case o.exemplars < 0:
@@ -169,14 +152,14 @@ func (o *loadOpts) validate() error {
 // that carried it — the handle to paste into GET /trace (or grep in
 // trace.chrome) to see where that window's time went.
 type exemplar struct {
-	User          string  `json:"user"`
-	LatencyMillis float64 `json:"latency_ms"`
-	Trace         string  `json:"trace"`
+	user          string
+	latencyMillis float64
+	trace         string
 }
 
 // insertExemplar keeps ex sorted worst-first and capped at k entries.
 func insertExemplar(ex []exemplar, e exemplar, k int) []exemplar {
-	i := sort.Search(len(ex), func(i int) bool { return ex[i].LatencyMillis < e.LatencyMillis })
+	i := sort.Search(len(ex), func(i int) bool { return ex[i].latencyMillis < e.latencyMillis })
 	if i >= k {
 		return ex
 	}
@@ -189,126 +172,14 @@ func insertExemplar(ex []exemplar, e exemplar, k int) []exemplar {
 	return ex
 }
 
-// benchConfig is one measured configuration's aggregate result.
-type benchConfig struct {
-	Name         string     `json:"name"`
-	Shards       int        `json:"shards,omitempty"`
-	Rounds       int        `json:"rounds"`
-	Records      int        `json:"records"`
-	PointsPerSec float64    `json:"points_per_sec"`
-	P50Millis    float64    `json:"p50_ms"`
-	P99Millis    float64    `json:"p99_ms"`
-	Exemplars    []exemplar `json:"exemplars,omitempty"`
-}
-
-// benchReport is the JSON written to -out.
-type benchReport struct {
-	Benchmark     string        `json:"benchmark"`
-	Users         int           `json:"users"`
-	PointsPerUser int           `json:"points_per_user"`
-	Conns         int           `json:"conns"`
-	FlushEvery    int           `json:"flush_every"`
-	RatePerSec    float64       `json:"rate_per_sec"`
-	Go            string        `json:"go"`
-	Configs       []benchConfig `json:"configs"`
-}
-
-func (r *benchReport) write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func run(o loadOpts) (*benchReport, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	perUser, err := generateFleet(o)
-	if err != nil {
-		return nil, err
-	}
-	report := &benchReport{
-		Benchmark:     "lppm-load loopback stream",
-		Users:         o.users,
-		PointsPerUser: o.points,
-		Conns:         o.conns,
-		FlushEvery:    o.flushEvery,
-		RatePerSec:    o.rate,
-		Go:            runtime.Version(),
-	}
-
-	type cfg struct {
-		name   string
-		shards int
-	}
-	var cfgs []cfg
-	if o.compareShards != "" {
-		for _, part := range strings.Split(o.compareShards, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("bad -compare-shards entry %q", part)
-			}
-			cfgs = append(cfgs, cfg{name: fmt.Sprintf("shards=%d", n), shards: n})
-		}
-	} else if o.selfServe {
-		cfgs = []cfg{{name: "self-serve", shards: o.shards}}
-	} else {
-		cfgs = []cfg{{name: "remote"}}
-	}
-	rounds := o.rounds
-	if rounds == 0 {
-		rounds = 1
-		if len(cfgs) > 1 {
-			rounds = 2
-		}
-	}
-
-	// Interleave configurations across rounds (A, B, A, B …) so shared-
-	// host load drift cannot favor whichever runs in a quiet moment. Each
-	// configuration accumulates latencies into one histogram across its
-	// rounds — O(1) memory however many records flow.
-	type agg struct {
-		records int
-		seconds float64
-		lat     *obs.Histogram
-		ex      []exemplar
-	}
-	aggs := make([]agg, len(cfgs))
-	for i := range aggs {
-		aggs[i].lat = new(obs.Histogram)
-	}
-	for round := 0; round < rounds; round++ {
-		for i, c := range cfgs {
-			res, err := runTrial(o, c.shards, perUser, aggs[i].lat)
-			if err != nil {
-				return nil, fmt.Errorf("%s round %d: %w", c.name, round+1, err)
-			}
-			aggs[i].records += res.records
-			aggs[i].seconds += res.seconds
-			for _, e := range res.exemplars {
-				aggs[i].ex = insertExemplar(aggs[i].ex, e, o.exemplars)
-			}
-		}
-	}
-	for i, c := range cfgs {
-		a := aggs[i]
-		bc := benchConfig{
-			Name:    c.name,
-			Shards:  c.shards,
-			Rounds:  rounds,
-			Records: a.records,
-		}
-		if a.seconds > 0 {
-			bc.PointsPerSec = float64(a.records) / a.seconds
-		}
-		bc.P50Millis = quantileMillis(a.lat, 0.50)
-		bc.P99Millis = quantileMillis(a.lat, 0.99)
-		bc.Exemplars = a.ex
-		report.Configs = append(report.Configs, bc)
-	}
-	return report, nil
+// report is one run's result: throughput, end-to-end latency
+// percentiles, and the worst-latency exemplars.
+type report struct {
+	records      int
+	pointsPerSec float64
+	p50Millis    float64
+	p99Millis    float64
+	exemplars    []exemplar
 }
 
 // generateFleet builds each user's record sequence: a synthetic fleet
@@ -336,24 +207,27 @@ func generateFleet(o loadOpts) (map[string][]trace.Record, error) {
 	return perUser, nil
 }
 
-// trialResult is one measurement run.
-type trialResult struct {
-	records   int
-	seconds   float64
-	exemplars []exemplar
-}
-
-// runTrial measures one configuration once: spin up the server (self-serve)
-// or reuse the remote one, stream every user's records over -conns
-// connections, and collect throughput into the result and per-record
-// latency into lat (shared by all connections; Observe is wait-free).
-func runTrial(o loadOpts, shards int, perUser map[string][]trace.Record, lat *obs.Histogram) (res trialResult, err error) {
+// run spins up the server (self-serve) or reuses the remote one,
+// streams every user's records over -conns connections, and reports
+// throughput, exemplars and per-record latency. Latencies go into one
+// histogram shared by every connection (Observe is wait-free): O(1)
+// memory however many records flow.
+func run(o loadOpts) (res *report, err error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
+	perUser, err := generateFleet(o)
+	if err != nil {
+		return nil, err
+	}
+	res = new(report)
+	lat := new(obs.Histogram)
 	base := o.addr
 	var teardown func() error
 	if o.selfServe {
-		base, teardown, err = startSelfServe(o, shards)
+		base, teardown, err = startSelfServe(o)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		defer func() {
 			if terr := teardown(); err == nil {
@@ -408,17 +282,21 @@ func runTrial(o loadOpts, shards int, perUser map[string][]trace.Record, lat *ob
 			res.exemplars = insertExemplar(res.exemplars, e, o.exemplars)
 		}
 	}
-	res.seconds = elapsed.Seconds()
+	if s := elapsed.Seconds(); s > 0 {
+		res.pointsPerSec = float64(res.records) / s
+	}
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	want := 0
 	for _, recs := range perUser {
 		want += len(recs)
 	}
 	if res.records != want {
-		return res, fmt.Errorf("received %d protected records, want %d", res.records, want)
+		return nil, fmt.Errorf("received %d protected records, want %d", res.records, want)
 	}
+	res.p50Millis = quantileMillis(lat, 0.50)
+	res.p99Millis = quantileMillis(lat, 0.99)
 	return res, nil
 }
 
@@ -473,9 +351,9 @@ func driveConn(cl *client.Client, recs []trace.Record, rate float64, lat *obs.Hi
 				lat.Observe(int64(d))
 				if k > 0 {
 					out.exemplars = insertExemplar(out.exemplars, exemplar{
-						User:          rec.User,
-						LatencyMillis: float64(d) / float64(time.Millisecond),
-						Trace:         traceID,
+						user:          rec.User,
+						latencyMillis: float64(d) / float64(time.Millisecond),
+						trace:         traceID,
 					}, k)
 				}
 			}
@@ -515,7 +393,7 @@ func driveConn(cl *client.Client, recs []trace.Record, rate float64, lat *obs.Hi
 
 // startSelfServe builds deployment → gateway → server on a loopback
 // listener and returns the base URL plus a teardown that drains it.
-func startSelfServe(o loadOpts, shards int) (string, func() error, error) {
+func startSelfServe(o loadOpts) (string, func() error, error) {
 	reg := lppm.NewRegistry()
 	mech, err := reg.Get(o.mechName)
 	if err != nil {
@@ -526,7 +404,7 @@ func startSelfServe(o loadOpts, shards int) (string, func() error, error) {
 		return "", nil, err
 	}
 	gwCfg := service.ConfigFromDeployment(dep, o.seed)
-	gwCfg.Shards = shards
+	gwCfg.Shards = o.shards
 	gwCfg.FlushEvery = o.flushEvery
 	var tr *tracing.Tracer
 	if o.traceOut != "" {

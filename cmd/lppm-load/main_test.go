@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 	"time"
@@ -31,57 +28,18 @@ func baseLoadOpts() loadOpts {
 // server and checks the report accounts for every record.
 func TestRunSelfServeLoopback(t *testing.T) {
 	o := baseLoadOpts()
-	report, err := run(o)
+	r, err := run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Configs) != 1 {
-		t.Fatalf("report has %d configs, want 1", len(report.Configs))
+	if r.records != o.users*o.points {
+		t.Errorf("report counts %d records, want %d", r.records, o.users*o.points)
 	}
-	c := report.Configs[0]
-	if c.Records != o.users*o.points {
-		t.Errorf("report counts %d records, want %d", c.Records, o.users*o.points)
+	if r.pointsPerSec <= 0 {
+		t.Errorf("points/sec = %v, want > 0", r.pointsPerSec)
 	}
-	if c.PointsPerSec <= 0 {
-		t.Errorf("points/sec = %v, want > 0", c.PointsPerSec)
-	}
-	if c.P50Millis < 0 || c.P99Millis < c.P50Millis {
-		t.Errorf("latency percentiles implausible: p50=%v p99=%v", c.P50Millis, c.P99Millis)
-	}
-}
-
-// TestRunCompareShardsInterleaved compares two shard layouts in one
-// process and writes the JSON report.
-func TestRunCompareShardsInterleaved(t *testing.T) {
-	o := baseLoadOpts()
-	o.compareShards = "1,2"
-	o.rounds = 1
-	o.outPath = filepath.Join(t.TempDir(), "BENCH_serve.json")
-	report, err := run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Configs) != 2 {
-		t.Fatalf("report has %d configs, want 2", len(report.Configs))
-	}
-	for _, c := range report.Configs {
-		if c.Records != o.users*o.points {
-			t.Errorf("%s counts %d records, want %d", c.Name, c.Records, o.users*o.points)
-		}
-	}
-	if err := report.write(o.outPath); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(o.outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed benchReport
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if parsed.Users != o.users || len(parsed.Configs) != 2 {
-		t.Errorf("round-tripped report %+v", parsed)
+	if r.p50Millis < 0 || r.p99Millis < r.p50Millis {
+		t.Errorf("latency percentiles implausible: p50=%v p99=%v", r.p50Millis, r.p99Millis)
 	}
 }
 
@@ -146,7 +104,7 @@ func TestLoadOptsValidate(t *testing.T) {
 		func(o *loadOpts) { o.conns = 0 },
 		func(o *loadOpts) { o.rate = -1 },
 		func(o *loadOpts) { o.flushEvery = 0 },
-		func(o *loadOpts) { o.selfServe = false; o.addr = "http://x"; o.compareShards = "1,2" },
+		func(o *loadOpts) { o.selfServe = false; o.addr = "http://x"; o.traceOut = "trace.chrome" },
 	}
 	for i, mutate := range cases {
 		o := baseLoadOpts()

@@ -7,9 +7,8 @@
 // unlocks on multi-exit functions, no exact float comparison — and,
 // since the concurrency pass, the serving stack's lifecycle invariants:
 // goroutine termination paths, context plumbing, no blocking sends
-// under locks, WaitGroup ordering, and timer hygiene in loops (the
-// static half of the split documented in DESIGN.md §11; the runtime
-// half is internal/leakcheck).
+// under locks, and WaitGroup ordering (the static half of the split
+// documented in DESIGN.md §11; the runtime half is internal/leakcheck).
 //
 // Each analyzer targets a bug class that actually shipped here (see
 // DESIGN.md §10 for the provenance). Intentional violations are
@@ -32,9 +31,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // Analyzer is one invariant checker. Run inspects a fully type-checked
@@ -96,7 +93,6 @@ func All() []*Analyzer {
 		LockDefer,
 		MapOrder,
 		SendLock,
-		TimeLeak,
 		WgDiscipline,
 	}
 }
@@ -115,31 +111,10 @@ func byName(analyzers []*Analyzer) map[string]*Analyzer {
 // Pragma-grammar violations (missing reason, unknown analyzer, unused
 // pragma) are appended as findings of the pseudo-analyzer "pragma" and
 // cannot themselves be suppressed.
-//
-// Packages are analyzed with up to jobs workers (jobs <= 0 means
-// GOMAXPROCS). Analyzers only read their Pass, each package's findings
-// land in its own slot, and the final sort erases scheduling order, so
-// the output is identical at every jobs value.
-func Run(pkgs []*Package, analyzers []*Analyzer, jobs int) []Diagnostic {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	perPkg := make([][]Diagnostic, len(pkgs))
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			perPkg[i] = runPackage(pkg, analyzers)
-		}()
-	}
-	wg.Wait()
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	for _, d := range perPkg {
-		diags = append(diags, d...)
+	for _, pkg := range pkgs {
+		diags = append(diags, runPackage(pkg, analyzers)...)
 	}
 	sortDiagnostics(diags)
 	return diags

@@ -54,7 +54,3 @@ func TestSendLockGolden(t *testing.T) {
 func TestWgDisciplineGolden(t *testing.T) {
 	runGolden(t, WgDiscipline, "testdata/wgdiscipline", "repro/internal/wgtest")
 }
-
-func TestTimeLeakGolden(t *testing.T) {
-	runGolden(t, TimeLeak, "testdata/timeleak", "repro/internal/timeleaktest")
-}

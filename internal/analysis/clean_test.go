@@ -11,11 +11,11 @@ func TestRepositoryLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	pkgs, err := LoadModule(".", 0)
+	pkgs, err := LoadModule(".")
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	for _, d := range Run(pkgs, All(), 0) {
+	for _, d := range Run(pkgs, All()) {
 		t.Errorf("%s", d)
 	}
 }

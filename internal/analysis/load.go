@@ -10,7 +10,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,35 +31,20 @@ type Package struct {
 // out-of-module (standard library) dependencies. Source mode type-checks
 // GOROOT packages from source, so the tool needs no pre-built export
 // data; cgo is disabled first so packages like net resolve to their pure
-// Go variants instead of requiring a C toolchain.
-//
-// The source importer is NOT safe for concurrent use (it mutates an
-// internal package cache), so every call goes through stdImporterMu.
-// Module packages type-checked in parallel therefore serialize only on
-// their first std-lib imports; repeats are cache hits.
-var (
-	stdImporterMu sync.Mutex
-	stdImporter   = sync.OnceValue(func() types.ImporterFrom {
-		build.Default.CgoEnabled = false
-		return importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
-	})
-)
+// Go variants instead of requiring a C toolchain. The source importer
+// is not safe for concurrent use; the loader calls it from one
+// goroutine.
+var stdImporter = sync.OnceValue(func() types.ImporterFrom {
+	build.Default.CgoEnabled = false
+	return importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+})
 
 // LoadModule parses and type-checks every non-test package under the
-// module rooted at (or above) dir. _test.go files are excluded: the
-// suite audits shipped code, and test-only idioms (bit-exact float
-// comparison, wall-clock timeouts) are legitimate there.
-//
-// Type-checking runs with up to jobs workers (jobs <= 0 means
-// GOMAXPROCS): the import graph is cut into topological levels, and
-// every package within a level — by construction mutually independent —
-// checks concurrently. token.FileSet is documented concurrency-safe,
-// each worker owns its types.Info, and the shared importer guards its
-// two mutable structures (the done map, the std importer) itself.
-func LoadModule(dir string, jobs int) ([]*Package, error) {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
+// module rooted at (or above) dir, dependencies first. _test.go files
+// are excluded: the suite audits shipped code, and test-only idioms
+// (bit-exact float comparison, wall-clock timeouts) are legitimate
+// there. Calls must not overlap: they share the source importer.
+func LoadModule(dir string) ([]*Package, error) {
 	root, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, err
@@ -77,44 +61,22 @@ func LoadModule(dir string, jobs int) ([]*Package, error) {
 	imp := &moduleImporter{module: modPath, done: make(map[string]*types.Package)}
 	var pkgs []*Package
 	for _, level := range levels {
-		results := make([]*Package, len(level))
-		errs := make([]error, len(level))
-		sem := make(chan struct{}, jobs)
-		var wg sync.WaitGroup
-		for i, pp := range level {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				info := newInfo()
-				conf := types.Config{Importer: imp}
-				tpkg, err := conf.Check(pp.path, fset, pp.files, info)
-				if err != nil {
-					errs[i] = fmt.Errorf("type-checking %s: %w", pp.path, err)
-					return
-				}
-				results[i] = &Package{
-					Path:  pp.path,
-					Dir:   pp.dir,
-					Fset:  fset,
-					Files: pp.files,
-					Pkg:   tpkg,
-					Info:  info,
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
+		for _, pp := range level {
+			info := newInfo()
+			conf := types.Config{Importer: imp}
+			tpkg, err := conf.Check(pp.path, fset, pp.files, info)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("type-checking %s: %w", pp.path, err)
 			}
-		}
-		// Publish the level's results only after the barrier, keeping
-		// the done map free of half-checked packages.
-		for _, r := range results {
-			imp.add(r.Path, r.Pkg)
-			pkgs = append(pkgs, r)
+			imp.done[pp.path] = tpkg
+			pkgs = append(pkgs, &Package{
+				Path:  pp.path,
+				Dir:   pp.dir,
+				Fset:  fset,
+				Files: pp.files,
+				Pkg:   tpkg,
+				Info:  info,
+			})
 		}
 	}
 	return pkgs, nil
@@ -132,19 +94,10 @@ func newInfo() *types.Info {
 }
 
 // moduleImporter serves already-checked module packages and delegates
-// everything else to the shared source importer. Safe for use from
-// concurrent type-check workers: done is RWMutex-guarded, and std-lib
-// delegation serializes on stdImporterMu.
+// everything else to the shared source importer.
 type moduleImporter struct {
 	module string
-	mu     sync.RWMutex
 	done   map[string]*types.Package
-}
-
-func (m *moduleImporter) add(path string, pkg *types.Package) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.done[path] = pkg
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -152,17 +105,12 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	m.mu.RLock()
-	p, ok := m.done[path]
-	m.mu.RUnlock()
-	if ok {
+	if p, ok := m.done[path]; ok {
 		return p, nil
 	}
 	if path == m.module || strings.HasPrefix(path, m.module+"/") {
 		return nil, fmt.Errorf("module package %s imported before it was checked (import cycle?)", path)
 	}
-	stdImporterMu.Lock()
-	defer stdImporterMu.Unlock()
 	return stdImporter().ImportFrom(path, dir, mode)
 }
 
@@ -272,10 +220,9 @@ func parseModule(fset *token.FileSet, root, modPath string) (map[string]*parsedP
 
 // topoLevels stratifies packages by import depth: level 0 holds
 // packages with no module-internal imports, level n+1 holds packages
-// whose deepest module dependency sits at level n. Every package within
-// a level is independent of its level-mates, so a level is exactly the
-// unit of safe type-check parallelism. Packages are path-sorted within
-// each level for a deterministic overall order.
+// whose deepest module dependency sits at level n, so checking the
+// levels in order checks every package after its dependencies. Packages
+// are path-sorted within each level for a deterministic overall order.
 func topoLevels(pkgs map[string]*parsedPkg) ([][]*parsedPkg, error) {
 	paths := make([]string, 0, len(pkgs))
 	for p := range pkgs {

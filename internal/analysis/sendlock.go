@@ -11,7 +11,7 @@ import (
 // backpressure the send blocks; every other goroutine that needs the
 // mutex then blocks behind it — including, in the worst shape, the very
 // consumer that would have drained the channel. The repository's
-// sanctioned pattern is visible in Gateway.Ingest: sends under stageMu
+// sanctioned pattern is visible in Gateway.command: sends under stageMu
 // are select sends with a ctx.Done() receive alternative, so
 // cancellation always unblocks the lock.
 //

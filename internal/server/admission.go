@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -278,61 +277,11 @@ type StatsResponse struct {
 	Controller *ControllerStats `json:"controller,omitempty"`
 }
 
-// statsSnapshot assembles the /v1/stats body from the metric registry —
-// the same Gather /metrics serves, so the two surfaces cannot drift. Field
-// names are the legacy wire contract; only the backing store changed. A
-// disabled registry (obs.Nop, benchmarking) gathers nothing, so that path
-// falls back to reading the sources directly.
+// statsSnapshot assembles the /v1/stats body straight from the counters
+// the /metrics series are Func-backed reads of, so the two surfaces
+// cannot drift, and the body stays whole under obs.Nop(). Field names are
+// the legacy wire contract.
 func (s *Server) statsSnapshot() StatsResponse {
-	if s.reg.Disabled() {
-		return s.statsDirect()
-	}
-	v := obs.NewView(s.reg.Gather())
-	resp := StatsResponse{
-		Server: ServerStats{
-			ActiveStreams:   int(v.Value("lppm_server_active_streams")),
-			StreamsTotal:    uint64(v.Value("lppm_server_streams_total")),
-			StreamsRejected: uint64(v.Value("lppm_server_streams_rejected_total")),
-			RateLimited:     uint64(v.Value("lppm_server_rate_limited_total")),
-			OrphanWindows:   uint64(v.Value("lppm_server_orphan_windows_total")),
-			DroppedWindows:  uint64(v.Value("lppm_server_dropped_windows_total")),
-			Draining:        v.Value("lppm_server_draining") != 0,
-		},
-		Gateway: GatewayStats{
-			Ingested:   uint64(v.Sum("lppm_shard_ingested_total")),
-			Emitted:    uint64(v.Sum("lppm_shard_emitted_total")),
-			Flushes:    uint64(v.Sum("lppm_shard_flushes_total")),
-			Dropped:    uint64(v.Sum("lppm_shard_dropped_total")),
-			Reconfigs:  uint64(v.Sum("lppm_shard_reconfigs_total")),
-			Swaps:      uint64(v.Value("lppm_gateway_swaps_total")),
-			Generation: uint64(v.Value("lppm_gateway_generation")),
-			Users:      int(v.Sum("lppm_shard_users")),
-			Shards:     v.Series("lppm_shard_ingested_total"),
-		},
-	}
-	if s.cfg.Controller != nil {
-		cs := &ControllerStats{
-			WindowsObserved: uint64(v.Value("lppm_controller_windows_observed_total")),
-			RecordsObserved: uint64(v.Value("lppm_controller_records_observed_total")),
-			UsersTracked:    int(v.Value("lppm_controller_users_tracked")),
-			Evaluations:     uint64(v.Value("lppm_controller_evaluations_total")),
-			Swaps:           uint64(v.Value("lppm_controller_swaps_total")),
-			LastPrivacy:     finiteOrZero(v.Value("lppm_controller_last_privacy")),
-			LastUtility:     finiteOrZero(v.Value("lppm_controller_last_utility")),
-		}
-		// The error is the one stat with no numeric series; read it from
-		// the controller directly.
-		if err := s.cfg.Controller.Stats().LastErr; err != nil {
-			cs.LastError = err.Error()
-		}
-		resp.Controller = cs
-	}
-	return resp
-}
-
-// statsDirect assembles the /v1/stats body straight from the sources — the
-// fallback when the registry collects nothing.
-func (s *Server) statsDirect() StatsResponse {
 	s.mu.Lock()
 	srv := ServerStats{
 		ActiveStreams: s.activeStreams,

@@ -13,8 +13,7 @@ import (
 // Regression for the WaitHealthy timer leak: the poll loop used
 // time.After inside the retry loop, allocating a fresh 10 ms timer per
 // probe and abandoning it. The loop now hoists one NewTicker and stops
-// it on exit (enforced statically by the timeleak analyzer); these
-// tests pin the behavior around that rewrite.
+// it on exit; these tests pin the behavior around that rewrite.
 
 func TestWaitHealthyRetriesUntilReady(t *testing.T) {
 	var calls atomic.Int64

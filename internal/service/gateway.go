@@ -217,6 +217,19 @@ type userState struct {
 	remote tracing.SpanContext
 }
 
+// shardOp names a control command on a shard's queue.
+type shardOp uint8
+
+const (
+	opNone  shardOp = iota // a record batch only
+	opTrace                // bind traceCtx as the user's remote trace context (SetUserTrace)
+	opFlush                // flush the user's pending window now (FlushUser)
+	opEvict                // checkpoint the user's stream and drop it (EvictUser)
+)
+
+// opVerbs names each command in its caller's errors.
+var opVerbs = [...]string{opTrace: "trace bind", opFlush: "flush", opEvict: "evict"}
+
 // shardMsg is one element of a shard's input queue: a batch of staged
 // records, or a control command. Commands ride the same queue as records so
 // they observe every record staged before them — a FlushUser issued after
@@ -233,22 +246,13 @@ type shardMsg struct {
 	// the tracer reuses the stage clock's sampled stamps to build the
 	// batch span tree without new clock reads.
 	stagedNS int64
-	// traceUser, when non-empty, binds traceCtx as that user's remote
-	// trace context (SetUserTrace). Rides the queue so the binding
-	// orders with ingested records.
-	traceUser string
-	traceCtx  tracing.SpanContext
-	// flushUser, when non-empty, asks the worker to flush that user's
-	// pending window immediately (an end-of-stream flush for a network
-	// connection that will send no more records). done, if non-nil, is
-	// closed once the command has been processed.
-	flushUser string
-	// evictUser, when non-empty, asks the worker to checkpoint that
-	// user's stream (pending window included, unflushed — eviction must
-	// not change the window split) and drop it from the table; the user
-	// restores lazily on their next record.
-	evictUser string
-	done      chan struct{}
+	// op, when not opNone, is a control command for user; traceCtx is
+	// opTrace's argument. done, if non-nil, is closed once the command
+	// has been processed.
+	op       shardOp
+	user     string
+	traceCtx tracing.SpanContext
+	done     chan struct{}
 }
 
 // shard is one worker: an ingest stage, a bounded queue of record batches,
@@ -696,6 +700,25 @@ func (g *Gateway) takeStage(s *shard) shardMsg {
 	return msg
 }
 
+// pushStage hands the shard's staged records, if any, to its worker
+// (caller holds stageMu), blocking for backpressure. Sending under the
+// lock keeps every send ordered before any close(s.in). When cancellation
+// outruns the send, the batch is counted dropped and the context error
+// returned.
+func (g *Gateway) pushStage(s *shard) error {
+	if len(s.stage) == 0 {
+		return nil
+	}
+	msg := g.takeStage(s)
+	select {
+	case s.in <- msg:
+		return nil
+	case <-g.ctx.Done():
+		s.dropped.Add(uint64(len(msg.batch)))
+		return g.ctx.Err()
+	}
+}
+
 // watch finalizes the gateway once every worker has exited: leftover staged
 // or still-queued records (possible only on cancellation — a normal Close
 // drain consumes the queue before the worker exits) are accounted as
@@ -721,8 +744,8 @@ func (g *Gateway) watch() {
 				}
 				s.dropped.Add(uint64(len(msg.batch)))
 				if msg.done != nil {
-					// Unblock a FlushUser waiter whose command the
-					// dead worker never reached.
+					// Unblock a FlushUser or EvictUser waiter whose
+					// command the dead worker never reached.
 					close(msg.done)
 				}
 			default:
@@ -782,18 +805,10 @@ func (g *Gateway) Ingest(rec trace.Record) error {
 		}
 		return nil
 	}
-	// Full stage: hand the batch to the worker, blocking for
-	// backpressure. The stage lock stays held — competing producers
-	// would only block on the same full queue anyway, and holding it
-	// keeps every send ordered before any close(s.in).
-	msg := g.takeStage(s)
-	select {
-	case s.in <- msg:
-		return nil
-	case <-g.ctx.Done():
-		s.dropped.Add(uint64(len(msg.batch)))
-		return g.ctx.Err()
-	}
+	// Full stage: hand the batch to the worker. The stage lock stays
+	// held — competing producers would only block on the same full queue
+	// anyway.
+	return g.pushStage(s)
 }
 
 // FlushUser forces the user's pending window through protection now rather
@@ -807,11 +822,53 @@ func (g *Gateway) Ingest(rec trace.Record) error {
 // split, so callers relying on the stream ≡ batch bit-identity must flush
 // only at points the comparison run also flushes (end of stream).
 func (g *Gateway) FlushUser(user string) error {
+	return g.command(user, shardMsg{op: opFlush}, true)
+}
+
+// EvictUser checkpoints a user's stream — pending records included, the
+// window split untouched — and releases its memory; the user's next
+// record rebuilds the stream from the checkpoint, bit-identically. With
+// a journal attached the checkpoint is also journaled, durable once the
+// pump's next fsync covers it; without one it is held only in memory.
+// The command rides the shard queue behind every record
+// already ingested, like FlushUser, and returns once processed. Evicting
+// an unknown user is a no-op.
+func (g *Gateway) EvictUser(user string) error {
+	return g.command(user, shardMsg{op: opEvict}, true)
+}
+
+// SetUserTrace binds a remote, client-originated trace context to a
+// user's stream: every window flushed for that user from then on is
+// recorded as a child of the remote span — how a traceparent that
+// arrived on an HTTP stream shows up in GET /trace with the gateway's
+// window/journal/dispatch/write spans under it. Like FlushUser, the
+// command pushes the shard's stage and rides the queue behind it, so it
+// orders behind every record already ingested, staged ones included: a
+// window those records complete flushes before the binding applies. It
+// does not wait to be processed. The binding persists until replaced —
+// a zero context unbinds. No-op without a tracer.
+func (g *Gateway) SetUserTrace(user string, sc tracing.SpanContext) error {
+	if g.tracer == nil {
+		return nil
+	}
+	return g.command(user, shardMsg{op: opTrace, traceCtx: sc}, false)
+}
+
+// command sends a control message for user down its shard's queue,
+// behind every record already ingested: the stage is pushed first, and
+// both sends stay under stageMu, so the command cannot overtake staged
+// records and is ordered before any close(s.in). With wait it returns
+// once the worker has processed the command — or, when the worker exits
+// first, once watch has accounted for the queue.
+func (g *Gateway) command(user string, msg shardMsg, wait bool) error {
 	if user == "" {
-		return fmt.Errorf("service: flush for empty user id")
+		return fmt.Errorf("service: %s for empty user id", opVerbs[msg.op])
 	}
 	s := g.shards[shardOf(user, len(g.shards))]
-	done := make(chan struct{})
+	msg.user = user
+	if wait {
+		msg.done = make(chan struct{})
+	}
 	// The staged section runs under stageMu with a deferred unlock; the
 	// wait on done must happen after release (the worker needs producers
 	// to make progress), so it lives outside the closure.
@@ -824,70 +881,11 @@ func (g *Gateway) FlushUser(user string) error {
 		if err := g.ctx.Err(); err != nil {
 			return err
 		}
-		// Push the stage first so the command cannot overtake records
-		// still waiting there; both sends stay under stageMu to keep them
-		// ordered before any close(s.in).
-		if len(s.stage) > 0 {
-			msg := g.takeStage(s)
-			select {
-			case s.in <- msg:
-			case <-g.ctx.Done():
-				s.dropped.Add(uint64(len(msg.batch)))
-				return g.ctx.Err()
-			}
-		}
-		select {
-		case s.in <- shardMsg{flushUser: user, done: done}:
-			return nil
-		case <-g.ctx.Done():
-			return g.ctx.Err()
-		}
-	}()
-	if err != nil {
-		return err
-	}
-	// The worker closes done after flushing; on cancellation the
-	// queue-drain accounting in watch closes it instead.
-	<-done
-	return nil
-}
-
-// EvictUser checkpoints a user's stream — pending records included, the
-// window split untouched — and releases its memory; the user's next
-// record rebuilds the stream from the checkpoint, bit-identically. With
-// a journal attached the checkpoint is also journaled, durable once the
-// pump's next fsync covers it; without one it is held only in memory.
-// The command rides the shard queue behind every record
-// already ingested, like FlushUser, and returns once processed. Evicting
-// an unknown user is a no-op.
-func (g *Gateway) EvictUser(user string) error {
-	if user == "" {
-		return fmt.Errorf("service: evict for empty user id")
-	}
-	s := g.shards[shardOf(user, len(g.shards))]
-	done := make(chan struct{})
-	err := func() error {
-		s.stageMu.Lock()
-		defer s.stageMu.Unlock()
-		if s.dead {
-			return ErrClosed
-		}
-		if err := g.ctx.Err(); err != nil {
+		if err := g.pushStage(s); err != nil {
 			return err
 		}
-		// Push the stage first so the eviction sees every record already
-		// ingested for this user (same ordering rule as FlushUser).
-		if len(s.stage) > 0 {
-			msg := g.takeStage(s)
-			select {
-			case s.in <- msg:
-			case <-g.ctx.Done():
-				s.dropped.Add(uint64(len(msg.batch)))
-				return g.ctx.Err()
-			}
-		}
 		select {
-		case s.in <- shardMsg{evictUser: user, done: done}:
+		case s.in <- msg:
 			return nil
 		case <-g.ctx.Done():
 			return g.ctx.Err()
@@ -896,41 +894,10 @@ func (g *Gateway) EvictUser(user string) error {
 	if err != nil {
 		return err
 	}
-	<-done
+	if wait {
+		<-msg.done
+	}
 	return nil
-}
-
-// SetUserTrace binds a remote, client-originated trace context to a
-// user's stream: every window flushed for that user from then on is
-// recorded as a child of the remote span — how a traceparent that
-// arrived on an HTTP stream shows up in GET /trace with the gateway's
-// window/journal/dispatch/write spans under it. The command rides the
-// user's shard queue like FlushUser, so it orders with records already
-// ingested, but does not wait to be processed (a binding can only
-// start one window early, never tear one). The binding persists until
-// replaced — a zero context unbinds. No-op without a tracer.
-func (g *Gateway) SetUserTrace(user string, sc tracing.SpanContext) error {
-	if g.tracer == nil {
-		return nil
-	}
-	if user == "" {
-		return fmt.Errorf("service: trace bind for empty user id")
-	}
-	s := g.shards[shardOf(user, len(g.shards))]
-	s.stageMu.Lock()
-	defer s.stageMu.Unlock()
-	if s.dead {
-		return ErrClosed
-	}
-	if err := g.ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case s.in <- shardMsg{traceUser: user, traceCtx: sc}:
-		return nil
-	case <-g.ctx.Done():
-		return g.ctx.Err()
-	}
 }
 
 // IngestAll feeds a slice of records in order, stopping at the first error.
@@ -1110,14 +1077,7 @@ func (g *Gateway) Close() error {
 		for _, s := range g.shards {
 			s.stageMu.Lock()
 			if !s.dead {
-				if len(s.stage) > 0 {
-					msg := g.takeStage(s)
-					select {
-					case s.in <- msg:
-					case <-g.ctx.Done():
-						s.dropped.Add(uint64(len(msg.batch)))
-					}
-				}
+				_ = g.pushStage(s) //lppm:allow droppederr -- a canceled push has already counted the stage dropped, and Close reports mechanism errors, not the cancellation
 				s.dead = true
 				close(s.in)
 			}
@@ -1288,20 +1248,19 @@ func (g *Gateway) handleMsg(s *shard, msg shardMsg) {
 	for _, rec := range msg.batch {
 		g.handle(s, rec)
 	}
-	if msg.traceUser != "" {
-		if u := s.users[msg.traceUser]; u != nil {
+	switch msg.op {
+	case opTrace:
+		if u := s.users[msg.user]; u != nil {
 			u.remote = msg.traceCtx
 		} else {
-			s.remote[msg.traceUser] = msg.traceCtx
+			s.remote[msg.user] = msg.traceCtx
 		}
-	}
-	if msg.flushUser != "" {
-		if u := s.users[msg.flushUser]; u != nil {
+	case opFlush:
+		if u := s.users[msg.user]; u != nil {
 			g.flush(s, u)
 		}
-	}
-	if msg.evictUser != "" {
-		g.evict(s, msg.evictUser)
+	case opEvict:
+		g.evict(s, msg.user)
 	}
 	if msg.done != nil {
 		close(msg.done)
@@ -1507,36 +1466,32 @@ func (g *Gateway) flush(s *shard, u *userState) {
 	if tp != nil {
 		tp.Observe(u.gen, actual, recs)
 	}
+	win := Window{Records: recs, Span: wspan.Context()}
 	select {
-	case g.out <- Window{Records: recs, Span: wspan.Context()}:
-		s.emitted.Add(uint64(len(recs)))
-		if flushStart != 0 || wspan != nil {
-			end := obs.Stamp()
-			g.clock.Observe(obs.StageFlush, flushStart, end)
-			wspan.EndAt(end)
-		}
-		return
+	case g.out <- win:
 	case <-g.ctx.Done():
-	}
-	// Canceled: the consumer may be gone, and losing the window beats
-	// deadlocking the drain — but give a live consumer a grace period so
-	// cancellation with a draining reader loses nothing. The deadline is
-	// gateway-wide, not per window, so an absent consumer costs the
-	// whole drain one grace period rather than one per user.
-	g.graceOnce.Do(func() { g.graceUntil = time.Now().Add(drainGrace) })
-	timer := time.NewTimer(time.Until(g.graceUntil))
-	defer timer.Stop()
-	select {
-	case g.out <- Window{Records: recs, Span: wspan.Context()}:
-		s.emitted.Add(uint64(len(recs)))
-		if flushStart != 0 || wspan != nil {
-			end := obs.Stamp()
-			g.clock.Observe(obs.StageFlush, flushStart, end)
-			wspan.EndAt(end)
+		// Canceled: the consumer may be gone, and losing the window
+		// beats deadlocking the drain — but give a live consumer a
+		// grace period so cancellation with a draining reader loses
+		// nothing. The deadline is gateway-wide, not per window, so an
+		// absent consumer costs the whole drain one grace period rather
+		// than one per user.
+		g.graceOnce.Do(func() { g.graceUntil = time.Now().Add(drainGrace) })
+		timer := time.NewTimer(time.Until(g.graceUntil))
+		defer timer.Stop()
+		select {
+		case g.out <- win:
+		case <-timer.C:
+			s.dropped.Add(uint64(len(recs)))
+			wspan.EndErr(errWindowDropped)
+			return
 		}
-	case <-timer.C:
-		s.dropped.Add(uint64(len(recs)))
-		wspan.EndErr(errWindowDropped)
+	}
+	s.emitted.Add(uint64(len(recs)))
+	if flushStart != 0 || wspan != nil {
+		end := obs.Stamp()
+		g.clock.Observe(obs.StageFlush, flushStart, end)
+		wspan.EndAt(end)
 	}
 }
 

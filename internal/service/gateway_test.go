@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/lppm"
+	"repro/internal/obs/tracing"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -682,6 +684,114 @@ func TestGatewayFlushUserEmitsStagedTail(t *testing.T) {
 	}
 	if st := g.Stats(); st.Emitted != 7 || st.Dropped != 0 {
 		t.Errorf("emitted %d dropped %d, want 7 and 0", st.Emitted, st.Dropped)
+	}
+}
+
+// TestGatewayUserCommandEdgeCases holds FlushUser, EvictUser and
+// SetUserTrace (on a traced gateway) to one contract, the one command
+// path they share: an empty user id fails; a user with nothing pending,
+// or one never seen, is an acknowledged no-op; a canceled gateway
+// returns context.Canceled; a dead shard returns ErrClosed, after Close
+// and after a cancellation's drain alike. The canceled case parks the
+// worker in a tap first, so the shard is provably still live when the
+// command finds the context done.
+func TestGatewayUserCommandEdgeCases(t *testing.T) {
+	remote := tracing.NewRootContext()
+	commands := []struct {
+		name string
+		call func(g *Gateway, user string) error
+	}{
+		{"FlushUser", (*Gateway).FlushUser},
+		{"EvictUser", (*Gateway).EvictUser},
+		{"SetUserTrace", func(g *Gateway, user string) error { return g.SetUserTrace(user, remote) }},
+	}
+	newTraced := func(t *testing.T, ctx context.Context) (*Gateway, <-chan struct{}) {
+		t.Helper()
+		g, err := New(ctx, Config{
+			Mechanism:  lppm.NewGeoIndistinguishability(),
+			Shards:     1,
+			FlushEvery: 64, // never reached: only FlushUser and the drain emit
+			Seed:       9,
+			Tracer:     tracing.New(tracing.Config{}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained := make(chan struct{})
+		go func() {
+			for range g.Output() {
+			}
+			close(drained)
+		}()
+		return g, drained
+	}
+	for _, c := range commands {
+		t.Run(c.name, func(t *testing.T) {
+			g, drained := newTraced(t, context.Background())
+			if err := g.Ingest(trace.Record{User: "seen", Time: gwT0, Point: gwBase}); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.FlushUser("seen"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.call(g, "seen"); err != nil {
+				t.Errorf("%s on a user with nothing pending = %v, want nil", c.name, err)
+			}
+			if err := c.call(g, "never-seen"); err != nil {
+				t.Errorf("%s on an unknown user = %v, want nil", c.name, err)
+			}
+			if err := c.call(g, ""); err == nil {
+				t.Errorf("%s with an empty user id must fail", c.name)
+			}
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+			<-drained
+			if err := c.call(g, "seen"); !errors.Is(err, ErrClosed) {
+				t.Errorf("%s after Close = %v, want ErrClosed", c.name, err)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			g, drained = newTraced(t, ctx)
+			tap := newParkTap("blk")
+			g.SetTap(tap)
+			if err := g.Ingest(trace.Record{User: "blk", Time: gwT0, Point: gwBase}); err != nil {
+				t.Fatal(err)
+			}
+			parked := make(chan error, 1)
+			go func() { parked <- g.FlushUser("blk") }()
+			<-tap.entered
+			cancel()
+			if err := c.call(g, "u00"); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s after cancel = %v, want context.Canceled", c.name, err)
+			}
+			close(tap.release)
+			if err := <-parked; err != nil {
+				t.Fatal(err)
+			}
+			<-drained
+			if err := c.call(g, "u00"); !errors.Is(err, ErrClosed) {
+				t.Errorf("%s after the canceled drain = %v, want ErrClosed", c.name, err)
+			}
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Without a tracer, SetUserTrace is a no-op that cannot fail.
+	g, err := New(context.Background(), Config{Mechanism: lppm.NewGeoIndistinguishability(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetUserTrace("", remote); err != nil {
+		t.Errorf("SetUserTrace without a tracer = %v, want nil", err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetUserTrace("u00", remote); err != nil {
+		t.Errorf("SetUserTrace without a tracer after Close = %v, want nil", err)
 	}
 }
 
