@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test bench-smoke bench bench-obs bench-journal fuzz-smoke trace-smoke clean
+.PHONY: all check vet lint build test bench-smoke bench bench-obs fuzz-smoke trace-smoke clean
 
 all: check
 
@@ -22,11 +22,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Quick single-pass benchmarks, as a CI smoke that the serving path and
-# the evaluation hot path still run end-to-end. The eval benchmark also
-# records its metrics to BENCH_eval.json so the perf trajectory is kept.
+# Quick single-pass benchmarks, as a CI smoke that the serving path, the
+# evaluation hot path and the journal still run end-to-end; the journal
+# benchmark asserts journal-on output is bit-identical to journal-off.
+# The eval benchmark also records its metrics to BENCH_eval.json so the
+# perf trajectory is kept.
 bench-smoke:
-	BENCH_EVAL_JSON=BENCH_eval.json $(GO) test -run '^$$' -bench='Gateway|AnalyzeHotPath' -benchtime=1x -benchmem .
+	BENCH_EVAL_JSON=BENCH_eval.json $(GO) test -run '^$$' -bench='Gateway|AnalyzeHotPath|JournalOverhead' -benchtime=1x -benchmem .
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem .
@@ -40,15 +42,6 @@ bench:
 # to it on multicore runners, see ci.yml).
 bench-obs:
 	BENCH_OBS_JSON=BENCH_obs.json $(GO) test -run '^$$' -bench='ObsOverhead' -benchtime=20x .
-
-# Journal (crash-safety) cost: the same gateway workload with the
-# write-behind journal on and off, interleaved per iteration, at the
-# default fsync policy lppm-serve runs. The benchmark asserts
-# bit-identical protected output in both modes and reports the overhead
-# and fsyncs per append in BENCH_journal.json; it gates no budget, since
-# the cost is set by the host's fsync latency.
-bench-journal:
-	BENCH_JOURNAL_JSON=BENCH_journal.json $(GO) test -run '^$$' -bench='JournalOverhead' -benchtime=20x .
 
 # Short fuzz pass over the journal frame decoder, the traceparent parser,
 # the JSONL codec and the two evaluation kernels: the fuzz engine mutates

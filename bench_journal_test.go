@@ -2,10 +2,8 @@ package repro_test
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -39,9 +37,6 @@ func runJournalPass(b *testing.B, shards int, slices [][]trace.Record, total int
 	if dir == "" {
 		g, err = service.New(context.Background(), cfg)
 	} else {
-		// The default fsync policy: what lppm-serve runs unless told
-		// otherwise, and what the repository benchmark's journal workload
-		// runs.
 		g, _, err = service.Recover(context.Background(), cfg, service.JournalConfig{Dir: dir})
 	}
 	if err != nil {
@@ -107,11 +102,11 @@ func runJournalPass(b *testing.B, shards int, slices [][]trace.Record, total int
 	return res.digest, js
 }
 
-// BenchmarkJournalOverhead prices crash safety on the serving hot path at
-// the default fsync policy: the same workload with the write-behind
-// journal on (a checkpoint enqueued at every window boundary, group-
-// committed by the pump goroutine) and off, interleaved within each
-// iteration with alternating order — the same discipline as
+// BenchmarkJournalOverhead prices crash safety on the serving hot path:
+// the same workload with the write-behind journal on (a checkpoint
+// enqueued at every window boundary, group-committed by the pump
+// goroutine) and off, interleaved within each iteration with alternating
+// order — the same discipline as
 // BenchmarkObsOverhead, because journal-on and journal-off numbers from
 // separate runs confound with machine state.
 //
@@ -120,10 +115,7 @@ func runJournalPass(b *testing.B, shards int, slices [][]trace.Record, total int
 // asserted every iteration. The cost is reported, not gated: it is set by
 // the host's fsync latency and by how many appends each group commit
 // shares an fsync between, reported as syncs/append (1 would mean no
-// grouping at all).
-//
-// With BENCH_JOURNAL_JSON=<path> (make bench-journal sets it) the metrics
-// are written as JSON for the CI artifact trail.
+// grouping at all). make bench-smoke runs it once as a digest check.
 func BenchmarkJournalOverhead(b *testing.B) {
 	const (
 		users     = 192
@@ -180,27 +172,4 @@ func BenchmarkJournalOverhead(b *testing.B) {
 	b.ReportMetric(on, "points/sec:on")
 	b.ReportMetric(overheadPct, "overhead:%")
 	b.ReportMetric(syncsPerAppend, "syncs/append")
-
-	if path := os.Getenv("BENCH_JOURNAL_JSON"); path != "" {
-		payload := struct {
-			Benchmark string             `json:"benchmark"`
-			Users     int                `json:"users"`
-			Records   int                `json:"records"`
-			Iters     int                `json:"iterations"`
-			Procs     int                `json:"gomaxprocs"`
-			Metrics   map[string]float64 `json:"metrics"`
-		}{"BenchmarkJournalOverhead", users, total, b.N, runtime.GOMAXPROCS(0), map[string]float64{
-			"points/sec:off":   off,
-			"points/sec:on":    on,
-			"overhead_pct":     overheadPct,
-			"syncs_per_append": syncsPerAppend,
-		}}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -93,10 +93,6 @@ func main() {
 
 		journal = flag.String("journal", "",
 			"append-only journal directory: checkpoint per-user stream state for crash-safe resume; auto-recovers on start (empty disables)")
-		checkpointEvery = flag.Int("checkpoint-every", 0,
-			"journal appends between compacted snapshots, 0 for default (with -journal)")
-		journalSync = flag.Int("journal-sync", 0,
-			"fsync the journal every Nth append; 0 or 1 sync every append — the setting the kill-and-resume equivalence proof assumes (with -journal)")
 
 		listen     = flag.String("listen", "", "serve the gateway over HTTP on this address (e.g. :8080) instead of -in/-out")
 		maxStreams = flag.Int("max-streams", 0, "max concurrent /v1/stream connections (0 default, negative unlimited; with -listen)")
@@ -142,8 +138,7 @@ func main() {
 		shards: *shards, queue: *queue, flushEvery: *flushEvery,
 		seed: *seed, stats: *stats, admin: *admin,
 		traceOn: *traceOn, traceSample: *traceSample,
-		journal: *journal, checkpointEvery: *checkpointEvery, journalSync: *journalSync,
-		reconfEvery: *reconfEvery, objectives: obj,
+		journal: *journal, reconfEvery: *reconfEvery, objectives: obj,
 		sampleFrac: *sampleFrac, paramName: *paramName,
 		listen: *listen, maxStreams: *maxStreams,
 		rateLimit: *rateLimit, burst: *burst,
@@ -211,9 +206,7 @@ type serveOpts struct {
 	traceOn     bool
 	traceSample float64
 
-	journal         string
-	checkpointEvery int
-	journalSync     int
+	journal string
 
 	reconfEvery time.Duration
 	objectives  model.Objectives
@@ -245,12 +238,6 @@ func (o *serveOpts) validate() error {
 		return fmt.Errorf("-rate-limit must be non-negative, got %v", o.rateLimit)
 	case o.burst < 0:
 		return fmt.Errorf("-burst must be non-negative, got %d", o.burst)
-	case o.checkpointEvery < 0:
-		return fmt.Errorf("-checkpoint-every must be non-negative, got %d", o.checkpointEvery)
-	case o.journalSync < 0:
-		return fmt.Errorf("-journal-sync must be non-negative, got %d", o.journalSync)
-	case o.journal == "" && (o.checkpointEvery != 0 || o.journalSync != 0):
-		return fmt.Errorf("-checkpoint-every/-journal-sync require -journal")
 	case o.traceSample < 0 || o.traceSample > 1:
 		return fmt.Errorf("-trace-sample must be in (0, 1], got %v", o.traceSample)
 	case !o.traceOn && o.traceSample != 0 && o.traceSample != 1.0:
@@ -288,12 +275,7 @@ func buildServing(ctx context.Context, reg *lppm.Registry, o serveOpts) (*servic
 	var g *service.Gateway
 	var info *service.RecoveryInfo
 	if o.journal != "" {
-		g, info, err = service.Recover(ctx, cfg, service.JournalConfig{
-			Dir:          o.journal,
-			SyncEvery:    o.journalSync,
-			CompactEvery: o.checkpointEvery,
-			Resolve:      reg.Get,
-		})
+		g, info, err = service.Recover(ctx, cfg, service.JournalConfig{Dir: o.journal})
 		if err != nil {
 			return nil, nil, nil, err
 		}

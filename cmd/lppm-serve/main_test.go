@@ -170,9 +170,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"negative reconfigure", func(o *serveOpts) { o.reconfEvery = -time.Second }, "-reconfigure-every"},
 		{"negative rate limit", func(o *serveOpts) { o.rateLimit = -1 }, "-rate-limit"},
 		{"negative burst", func(o *serveOpts) { o.burst = -1 }, "-burst"},
-		{"negative checkpoint cadence", func(o *serveOpts) { o.journal = "j"; o.checkpointEvery = -1 }, "-checkpoint-every"},
-		{"negative journal sync", func(o *serveOpts) { o.journal = "j"; o.journalSync = -1 }, "-journal-sync"},
-		{"journal knobs without journal", func(o *serveOpts) { o.checkpointEvery = 16 }, "-journal"},
 	}
 	for _, tc := range cases {
 		o := baseOpts(in, out)

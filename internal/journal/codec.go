@@ -157,8 +157,8 @@ func cloneDeployment(d Deployment) Deployment {
 }
 
 // applyCheckpoint folds one checkpoint into the state, retaining at most
-// retain windows per user for replay.
-func (s *State) applyCheckpoint(cp Checkpoint, retain int) {
+// retainWindows windows per user for replay.
+func (s *State) applyCheckpoint(cp Checkpoint) {
 	us := s.Users[cp.User]
 	if us == nil {
 		us = &UserState{}
@@ -170,8 +170,8 @@ func (s *State) applyCheckpoint(cp Checkpoint, retain int) {
 	us.Window = nil // the window lives in the retained ring, not the head
 	if len(win) > 0 {
 		us.Retained = append(us.Retained, RetainedWindow{Start: start, Recs: win})
-		if len(us.Retained) > retain {
-			us.Retained = us.Retained[len(us.Retained)-retain:]
+		if len(us.Retained) > retainWindows {
+			us.Retained = us.Retained[len(us.Retained)-retainWindows:]
 		}
 	}
 }
@@ -189,14 +189,14 @@ type entry struct {
 
 // apply folds one entry into the state, returning the (possibly replaced)
 // state — a snapshot resets it wholesale.
-func (s *State) apply(e entry, retain int) *State {
+func (s *State) apply(e entry) *State {
 	switch e.kind {
 	case kindSnapshot:
 		return e.snap
 	case kindDeploy:
 		s.applyDeploy(e.dep)
 	case kindCheckpoint:
-		s.applyCheckpoint(e.cp, retain)
+		s.applyCheckpoint(e.cp)
 	}
 	return s
 }
@@ -286,33 +286,11 @@ func (e *encoder) snapshot(s *State) {
 	}
 }
 
-// encodeEntry renders one journal record as a payload (kind byte first).
-func encodeEntry(e entry) []byte {
-	enc := &encoder{b: make([]byte, 0, 256)}
-	enc.u8(e.kind)
-	switch e.kind {
-	case kindSnapshot:
-		enc.snapshot(e.snap)
-	case kindDeploy:
-		enc.deployment(e.dep)
-	case kindCheckpoint:
-		enc.checkpoint(e.cp)
-	}
-	return enc.b
-}
-
-// appendFrame frames a payload onto dst: length, CRC-32C, payload.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
-}
-
-// appendEntryFrame encodes e as a frame directly onto dst — the header is
-// reserved up front and backfilled once the payload length is known, so
-// the append hot path costs zero intermediate allocations or copies
-// (encodeEntry+appendFrame would pay both). dst retains its capacity
-// across calls via the Writer's group-commit buffer.
+// appendEntryFrame encodes e as a frame onto dst: payload length,
+// CRC-32C of the payload, then the payload (kind byte first). The header
+// is reserved up front and backfilled once the payload length is known,
+// so no intermediate payload buffer is allocated or copied. dst retains
+// its capacity across calls via the Writer's group-commit buffer.
 func appendEntryFrame(dst []byte, e entry) []byte {
 	head := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)

@@ -3,6 +3,7 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,7 +29,7 @@ func fuzzSeedState() *State {
 		User: "u1", Generation: 3, RNGPos: 17, In: 8, Out: 8, Windows: 2,
 		Pending: []trace.Record{rec("u1", 123456789, 48.85, 2.35)},
 		Window:  []trace.Record{rec("u1", 123456790, 48.86, 2.36), rec("u1", 123456791, 48.87, 2.37)},
-	}, 8)
+	})
 	return st
 }
 
@@ -36,13 +37,22 @@ func fuzzSeedState() *State {
 // frame followed by a checkpoint and a deploy frame.
 func fuzzSeedSegment() []byte {
 	st := fuzzSeedState()
-	b := appendFrame(nil, encodeEntry(entry{kind: kindSnapshot, snap: st}))
-	b = appendFrame(b, encodeEntry(entry{kind: kindCheckpoint, cp: Checkpoint{
+	b := appendEntryFrame(nil, entry{kind: kindSnapshot, snap: st})
+	b = appendEntryFrame(b, entry{kind: kindCheckpoint, cp: Checkpoint{
 		User: "u3", RNGPos: 5, In: 4, Out: 4, Windows: 1,
 		Window: []trace.Record{{User: "u3", Time: time.Unix(0, 9).UTC(), Point: geo.Point{Lat: 1, Lng: 2}}},
-	}}))
-	b = appendFrame(b, encodeEntry(entry{kind: kindDeploy, dep: Deployment{Generation: 4, Mechanism: "rounding"}}))
+	}})
+	b = appendEntryFrame(b, entry{kind: kindDeploy, dep: Deployment{Generation: 4, Mechanism: "rounding"}})
 	return b
+}
+
+// appendFrame frames a raw payload onto dst — length, CRC-32C, payload —
+// so the corpus can hold structurally valid frames whose payloads the
+// encoder would never produce.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
 }
 
 // FuzzDecode drives the segment decoder with arbitrary bytes. The
@@ -101,7 +111,7 @@ func FuzzDecode(f *testing.F) {
 		// (4) decoded entries re-encode and re-decode stably.
 		var re []byte
 		for _, e := range entries {
-			re = appendFrame(re, encodeEntry(e))
+			re = appendEntryFrame(re, e)
 		}
 		rt, rtc, rterr := decodeSegment(re)
 		if rterr != nil || rtc != len(re) {
@@ -113,7 +123,7 @@ func FuzzDecode(f *testing.F) {
 		// Folding must also be panic-free whatever decoded.
 		var st *State
 		for _, e := range entries {
-			st = st.apply(e, 4)
+			st = st.apply(e)
 		}
 		_ = st
 	})
@@ -160,7 +170,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // TestDecodeRejectsTrailingBytes pins that a frame whose payload decodes
 // but leaves unconsumed bytes is corruption, not silently accepted.
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
-	p := encodeEntry(entry{kind: kindDeploy, dep: Deployment{Generation: 1, Mechanism: "m"}})
+	p := appendEntryFrame(nil, entry{kind: kindDeploy, dep: Deployment{Generation: 1, Mechanism: "m"}})[frameHeader:]
 	p = append(p, 0xEE)
 	if _, err := decodeEntry(p); err == nil {
 		t.Fatalf("trailing byte accepted")

@@ -10,17 +10,22 @@
 // Durability contract: the journal observes windows, it does not gate
 // them. The serving gateway emits a window first and hands its checkpoint
 // to a write-behind pump, which commits whatever has queued as one group:
-// every record appended, one write, one fsync (Writer.Commit). A crash
-// can therefore lose the unsynced tail — at most the queued checkpoints
-// plus the group being written. Nothing is reported durable before an
-// fsync covers it: UserState.DurableIn advances only after the sync
-// returns, and a resuming client trims its send buffer only to that
-// value, so a lost tail is re-sent and re-protected bit-identically from
-// the rng position the last durable checkpoint holds. Torn tails — a
-// crash mid-frame — truncate to the last valid record; the
-// retained-window ring in the folded state lets the server re-serve the
-// small emit-vs-delivery gap on reconnect (see /v1/replay in
-// internal/server).
+// every record appended, one write, one fsync (Writer.Commit). Group
+// commit is the only durability policy — every Commit ends in an fsync,
+// and the group size follows the load. A crash can therefore lose the
+// unsynced tail — at most the queued checkpoints plus the group being
+// written. Nothing is reported durable before an fsync covers it:
+// UserState.DurableIn advances only after the sync returns, and a
+// resuming client trims its send buffer only to that value, so a lost
+// tail is re-sent and re-protected bit-identically from the rng position
+// the last durable checkpoint holds. Torn tails — a crash mid-frame —
+// truncate to the last valid record; the retained-window ring in the
+// folded state lets the server re-serve the small emit-vs-delivery gap
+// on reconnect (see /v1/replay in internal/server).
+//
+// Two bounds are fixed: a segment rotates to a fresh snapshot-headed one
+// after compactEvery (4096) appends, and the ring keeps retainWindows (8)
+// windows per user.
 package journal
 
 import (
@@ -32,51 +37,24 @@ import (
 	"repro/internal/trace"
 )
 
-// Segment names sort lexically in creation order.
-const segPattern = "wal-%08d.log"
+const (
+	// segPattern names segments; the names sort lexically in creation
+	// order.
+	segPattern = "wal-%08d.log"
+	// compactEvery is how many appends a segment takes before the writer
+	// rotates to a fresh snapshot-headed segment.
+	compactEvery = 4096
+	// retainWindows bounds the per-user replay ring in the folded state.
+	retainWindows = 8
+)
 
 // ErrClosed is returned by operations on a closed Writer.
 var ErrClosed = errors.New("journal: writer closed")
 
-// Options configure a Writer. The zero value is usable: OS filesystem,
-// an fsync covering every append, rotation every 4096 appends, 8 retained
-// windows per user.
+// Options configure a Writer. The zero value is usable.
 type Options struct {
 	// FS is the filesystem seam; nil means the host filesystem.
 	FS FS
-	// SyncEvery is the fsync cadence in appends, checked once per Commit
-	// after the whole group is appended. <=1 (the default, and what the
-	// crash-matrix equivalence proof assumes) fsyncs at the end of every
-	// group, so every append is covered by an fsync before Commit returns.
-	// Values >1 fsync only once SyncEvery appends have accumulated, so a
-	// crash can lose up to SyncEvery-1 committed checkpoints of tail. That
-	// tail is recoverable without breaking bit-identity — the checkpointed
-	// rng position makes re-protection of resent records deterministic,
-	// and the client's resume path count-skips regenerated windows it
-	// already delivered.
-	SyncEvery int
-	// CompactEvery rotates to a fresh snapshot-headed segment after this
-	// many appends; <=0 means 4096.
-	CompactEvery int
-	// RetainWindows bounds the per-user replay ring in the folded state;
-	// <=0 means 8.
-	RetainWindows int
-}
-
-func (o Options) withDefaults() Options {
-	if o.FS == nil {
-		o.FS = OSFS{}
-	}
-	if o.SyncEvery <= 1 {
-		o.SyncEvery = 1
-	}
-	if o.CompactEvery <= 0 {
-		o.CompactEvery = 4096
-	}
-	if o.RetainWindows <= 0 {
-		o.RetainWindows = 8
-	}
-	return o
 }
 
 // Stats is a point-in-time snapshot of writer activity, exported as
@@ -84,9 +62,9 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// Appends counts checkpoint/deploy records appended.
 	Appends uint64
-	// Syncs counts successful fsyncs: one per committed group under the
-	// default policy, plus two per rotation and one at Close.
-	// Appends/Syncs is the achieved group size.
+	// Syncs counts successful fsyncs: one per committed group, one per
+	// snapshot written, and one more per rotation for the abandoned
+	// segment's tail. Appends/Syncs approximates the achieved group size.
 	Syncs uint64
 	// Snapshots counts snapshot frames written (Install + rotations).
 	Snapshots uint64
@@ -119,8 +97,8 @@ type OpenInfo struct {
 //
 // A Writer is safe for concurrent use; appends are serialized.
 type Writer struct {
-	dir  string
-	opts Options
+	dir string
+	fs  FS
 
 	// commitMu serializes the writing side — Install, Commit and Close —
 	// and is held across a group's fsync, so nothing can rotate or close
@@ -132,7 +110,6 @@ type Writer struct {
 	f         File
 	seg       int    // current segment index, -1 before Install
 	appends   int    // appends into the current segment (for rotation)
-	unsynced  int    // appends since the last fsync
 	wbuf      []byte // frames encoded but not yet written
 	state     *State
 	stats     Stats
@@ -140,20 +117,14 @@ type Writer struct {
 
 	// durableIn maps user → the In counter as of the last fsync that
 	// covered one of their checkpoints. The folded state runs ahead of the
-	// disk from a group's append until its fsync returns (and, with
-	// SyncEvery>1, until the cadence comes round); UserResume reports this
-	// value so a client never trims its send buffer below what a crash
-	// could lose.
+	// disk from a group's append until its fsync returns; UserResume
+	// reports this value so a client never trims its send buffer below
+	// what a crash could lose.
 	durableIn map[string]uint64
 	// pendingIn lists users checkpointed since the last fsync, awaiting
 	// promotion into durableIn.
 	pendingIn []string
 }
-
-// wbufFlushBytes bounds the write buffer between fsyncs under
-// SyncEvery>1: once it grows past this the frames are written (but not
-// fsynced) so memory stays flat even at very large cadences.
-const wbufFlushBytes = 64 << 10
 
 // Open scans dir for journal segments and folds them into a State.
 // It returns a Writer that cannot append yet: the caller must Install
@@ -173,11 +144,14 @@ const wbufFlushBytes = 64 << 10
 // (after Install wrote a partial segment) safe: the torn head is skipped
 // and the previous segments fold exactly as before.
 func Open(dir string, opts Options) (*Writer, *State, *OpenInfo, error) {
-	opts = opts.withDefaults()
-	if err := opts.FS.MkdirAll(dir); err != nil {
+	fs := opts.FS
+	if fs == nil {
+		fs = OSFS{}
+	}
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, nil, nil, fmt.Errorf("journal: create dir: %w", err)
 	}
-	names, err := opts.FS.ReadDir(dir)
+	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("journal: scan dir: %w", err)
 	}
@@ -193,7 +167,7 @@ func Open(dir string, opts Options) (*Writer, *State, *OpenInfo, error) {
 		if idx > maxSeg {
 			maxSeg = idx
 		}
-		entries, corrupt := readSegment(opts.FS, join(dir, name))
+		entries, corrupt := readSegment(fs, join(dir, name))
 		if corrupt {
 			info.Corrupted = true
 		}
@@ -201,12 +175,12 @@ func Open(dir string, opts Options) (*Writer, *State, *OpenInfo, error) {
 			continue // torn rotation head: skip wholesale
 		}
 		for _, e := range entries {
-			st = st.apply(e, opts.RetainWindows)
+			st = st.apply(e)
 			info.Entries++
 		}
 	}
 	info.Resumed = st != nil
-	w := &Writer{dir: dir, opts: opts, seg: maxSeg, stickyErr: errNoSegment}
+	w := &Writer{dir: dir, fs: fs, seg: maxSeg, stickyErr: errNoSegment}
 	w.stats.Segment = maxSeg
 	return w, st, info, nil
 }
@@ -273,14 +247,13 @@ func (w *Writer) rotateLocked() error {
 	}
 	w.seg++
 	name := fmt.Sprintf(segPattern, w.seg)
-	f, err := w.opts.FS.Create(join(w.dir, name))
+	f, err := w.fs.Create(join(w.dir, name))
 	if err != nil {
 		return w.fail(fmt.Errorf("journal: create segment %s: %w", name, err))
 	}
 	w.f = f
 	w.appends = 0
-	w.unsynced = 0
-	frame := appendFrame(nil, encodeEntry(entry{kind: kindSnapshot, snap: w.state}))
+	frame := appendEntryFrame(nil, entry{kind: kindSnapshot, snap: w.state})
 	if err := writeAll(f, frame); err != nil {
 		return w.fail(fmt.Errorf("journal: write snapshot: %w", err))
 	}
@@ -303,7 +276,7 @@ func (w *Writer) rotateLocked() error {
 	// The new snapshot-headed segment is durable; older segments are now
 	// redundant. Removal failures are non-fatal (stale segments are
 	// superseded at fold time) but still latch an error count.
-	names, err := w.opts.FS.ReadDir(w.dir)
+	names, err := w.fs.ReadDir(w.dir)
 	if err != nil {
 		w.stats.Errors++
 		return nil
@@ -313,7 +286,7 @@ func (w *Writer) rotateLocked() error {
 		if cnt, serr := fmt.Sscanf(n, segPattern, &idx); serr != nil || cnt != 1 || idx >= w.seg {
 			continue
 		}
-		if rerr := w.opts.FS.Remove(join(w.dir, n)); rerr != nil {
+		if rerr := w.fs.Remove(join(w.dir, n)); rerr != nil {
 			w.stats.Errors++
 		}
 	}
@@ -362,38 +335,19 @@ func (b *Batch) Reset() {
 
 // Commit journals b's records, in order, as one group: every frame is
 // encoded into the write buffer and folded into the state under one lock
-// hold, then written with one write and — when the group completes the
-// SyncEvery cadence, which under the default policy is every group —
-// covered by one fsync. Per-user durable progress (UserResume's
-// DurableIn) advances only after that fsync returns. A failed write or
-// fsync fails the whole group: none of it counts as durable, the error
-// latches, and every later append returns it. An empty batch is a no-op.
-func (w *Writer) Commit(b *Batch) error { return w.commit(b.entries) }
-
-// AppendCheckpoint journals one user checkpoint as a group of one (see
-// Commit). The checkpoint may describe a window that has already been
-// emitted: losing it in a crash is safe because DurableIn does not cover
-// it until its fsync returns, so a resuming client still holds — and
-// re-sends — the records it consumed.
-func (w *Writer) AppendCheckpoint(cp Checkpoint) error {
-	return w.commit([]entry{{kind: kindCheckpoint, cp: cp}})
-}
-
-// AppendDeploy journals a deployment swap as a group of one. A swap must
-// not install its deployment before the record is committed, so recovery
-// never resumes into a generation the journal has not seen.
-func (w *Writer) AppendDeploy(d Deployment) error {
-	return w.commit([]entry{{kind: kindDeploy, dep: d}})
-}
-
-func (w *Writer) commit(es []entry) error {
-	if len(es) == 0 {
+// hold, then written with one write and covered by one fsync. Per-user
+// durable progress (UserResume's DurableIn) advances only after that
+// fsync returns. A failed write or fsync fails the whole group: none of
+// it counts as durable, the error latches, and every later append
+// returns it. An empty batch is a no-op.
+func (w *Writer) Commit(b *Batch) error {
+	if len(b.entries) == 0 {
 		return nil
 	}
 	w.commitMu.Lock()
 	defer w.commitMu.Unlock()
-	f, err := w.stage(es)
-	if err != nil || f == nil {
+	f, err := w.stage(b.entries)
+	if err != nil {
 		return err
 	}
 	// The fsync runs outside mu, so readers never wait on the disk, and
@@ -404,17 +358,14 @@ func (w *Writer) commit(es []entry) error {
 	if serr != nil {
 		return w.fail(fmt.Errorf("journal: sync: %w", serr))
 	}
-	w.unsynced = 0
 	w.stats.Syncs++
 	w.promoteDurableLocked()
 	return nil
 }
 
 // stage appends es to the write buffer and folds them into the state,
-// rotating segments as CompactEvery requires. When the group completes
-// the SyncEvery cadence it writes the buffer out and returns the segment
-// the caller must fsync; otherwise it returns nil, writing early only
-// once the buffer outgrows wbufFlushBytes.
+// rotating segments every compactEvery appends, then writes the buffer
+// out and returns the segment the caller must fsync.
 func (w *Writer) stage(es []entry) (File, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -422,7 +373,7 @@ func (w *Writer) stage(es []entry) (File, error) {
 		return nil, w.stickyErr
 	}
 	for _, e := range es {
-		if w.appends >= w.opts.CompactEvery {
+		if w.appends >= compactEvery {
 			if err := w.rotateLocked(); err != nil {
 				return nil, err
 			}
@@ -432,17 +383,10 @@ func (w *Writer) stage(es []entry) (File, error) {
 		w.stats.Bytes += uint64(len(w.wbuf) - before)
 		w.stats.Appends++
 		w.appends++
-		w.unsynced++
-		w.state = w.state.apply(e, w.opts.RetainWindows)
+		w.state = w.state.apply(e)
 		if e.kind == kindCheckpoint {
 			w.pendingIn = append(w.pendingIn, e.cp.User)
 		}
-	}
-	if w.unsynced < w.opts.SyncEvery {
-		if len(w.wbuf) >= wbufFlushBytes {
-			return nil, w.flushLocked()
-		}
-		return nil, nil
 	}
 	if err := w.flushLocked(); err != nil {
 		return nil, err
@@ -535,11 +479,12 @@ func (w *Writer) Err() error {
 	return w.stickyErr
 }
 
-// Close syncs and closes the current segment. The writer rejects all
-// further operations. Close after a sticky append/sync failure still
-// releases the file handle but reports that earlier failure: a journal
-// that failed mid-run did not close cleanly, and callers treat any
-// Close error as "journal tail may be torn".
+// Close closes the current segment; every successful Commit has already
+// fsynced it. The writer rejects all further operations. Close after a
+// sticky append/sync failure still releases the file handle but reports
+// that earlier failure: a journal that failed mid-run did not close
+// cleanly, and callers treat any Close error as "journal tail may be
+// torn".
 func (w *Writer) Close() error {
 	w.commitMu.Lock()
 	defer w.commitMu.Unlock()
@@ -553,17 +498,6 @@ func (w *Writer) Close() error {
 		err = w.stickyErr
 	}
 	if w.f != nil {
-		if err == nil {
-			err = w.flushLocked()
-		}
-		if w.unsynced > 0 && err == nil {
-			if err = w.f.Sync(); err == nil {
-				w.stats.Syncs++
-			}
-		}
-		if err == nil {
-			w.promoteDurableLocked()
-		}
 		if cerr := w.f.Close(); err == nil {
 			err = cerr
 		}

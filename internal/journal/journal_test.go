@@ -1,6 +1,7 @@
 package journal_test
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,6 +25,13 @@ func cp(u string, windows uint64) journal.Checkpoint {
 		User: u, RNGPos: windows * 3, In: windows * 2, Out: windows * 2, Windows: windows,
 		Window: []trace.Record{rec(u, n*100+1, 1, 2), rec(u, n*100+2, 3, 4)},
 	}
+}
+
+// commitCP journals one checkpoint as a group of one.
+func commitCP(w *journal.Writer, c journal.Checkpoint) error {
+	var b journal.Batch
+	b.AddCheckpoint(c)
+	return w.Commit(&b)
 }
 
 func openFresh(t *testing.T, fs *faultfs.FS, dir string, opts journal.Options) *journal.Writer {
@@ -60,14 +68,16 @@ func TestWriterStateMatchesRefold(t *testing.T) {
 	fs := faultfs.New()
 	w := openFresh(t, fs, "j", journal.Options{})
 	for i := uint64(1); i <= 5; i++ {
-		if err := w.AppendCheckpoint(cp("alice", i)); err != nil {
+		if err := commitCP(w, cp("alice", i)); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	if err := w.AppendDeploy(journal.Deployment{Generation: 1, Mechanism: "rounding", Params: map[string]float64{"cell_m": 100}}); err != nil {
+	var b journal.Batch
+	b.AddDeploy(journal.Deployment{Generation: 1, Mechanism: "rounding", Params: map[string]float64{"cell_m": 100}})
+	if err := w.Commit(&b); err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	if err := w.AppendCheckpoint(cp("bob", 1)); err != nil {
+	if err := commitCP(w, cp("bob", 1)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	want := w.State()
@@ -111,7 +121,7 @@ func TestTornTailTruncatesToLastRecord(t *testing.T) {
 		fs := faultfs.New()
 		w := openFresh(t, fs, "j", journal.Options{})
 		for i := uint64(1); i <= 3; i++ {
-			if err := w.AppendCheckpoint(cp("u", i)); err != nil {
+			if err := commitCP(w, cp("u", i)); err != nil {
 				t.Fatalf("append: %v", err)
 			}
 		}
@@ -179,16 +189,27 @@ func TestTornTailTruncatesToLastRecord(t *testing.T) {
 	}
 }
 
-// TestRotationCompacts pins segment rotation: after CompactEvery appends
+// compactEvery mirrors the writer's rotation period in appends.
+const compactEvery = 4096
+
+// TestRotationCompacts pins segment rotation: after compactEvery appends
 // the writer starts a snapshot-headed segment and removes older ones,
-// and a reopen folds the same state from the survivor(s).
+// and a reopen folds the same state from the survivor(s). Groups of
+// three put both rotations mid-group.
 func TestRotationCompacts(t *testing.T) {
 	fs := faultfs.New()
-	w := openFresh(t, fs, "j", journal.Options{CompactEvery: 4})
-	for i := uint64(1); i <= 10; i++ {
-		if err := w.AppendCheckpoint(cp("u", i)); err != nil {
-			t.Fatalf("append %d: %v", i, err)
+	w := openFresh(t, fs, "j", journal.Options{})
+	const n = 2*compactEvery + 2
+	var b journal.Batch
+	for i := uint64(1); i <= n; i++ {
+		b.AddCheckpoint(cp("u", i))
+		if i%3 != 0 && i != n {
+			continue
 		}
+		if err := w.Commit(&b); err != nil {
+			t.Fatalf("commit through %d: %v", i, err)
+		}
+		b.Reset()
 	}
 	if got := len(fs.Files()); got > 2 {
 		t.Fatalf("compaction left %d segments: %v", got, fs.Files())
@@ -197,12 +218,15 @@ func TestRotationCompacts(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	_, got, _ := reopen(t, fs, "j", journal.Options{CompactEvery: 4})
+	_, got, _ := reopen(t, fs, "j", journal.Options{})
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("state after rotation:\n got %+v\nwant %+v", got, want)
 	}
-	if w.Stats().Snapshots < 2 {
-		t.Fatalf("rotation wrote no snapshot: %+v", w.Stats())
+	if got.Users["u"].Windows != n {
+		t.Fatalf("folded %d windows, want %d", got.Users["u"].Windows, n)
+	}
+	if s := w.Stats(); s.Snapshots < 3 || s.Segment != 2 {
+		t.Fatalf("two rotations expected (3 snapshots, segment 2): %+v", s)
 	}
 }
 
@@ -213,7 +237,7 @@ func TestRotationCompacts(t *testing.T) {
 func TestTornRotationHead(t *testing.T) {
 	fs := faultfs.New()
 	w := openFresh(t, fs, "j", journal.Options{})
-	if err := w.AppendCheckpoint(cp("u", 1)); err != nil {
+	if err := commitCP(w, cp("u", 1)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if err := w.Close(); err != nil {
@@ -256,15 +280,15 @@ func TestAppendFaults(t *testing.T) {
 	for _, mode := range []faultfs.Mode{faultfs.ModeError, faultfs.ModeShortWrite} {
 		fs := faultfs.New()
 		w := openFresh(t, fs, "j", journal.Options{})
-		if err := w.AppendCheckpoint(cp("u", 1)); err != nil {
+		if err := commitCP(w, cp("u", 1)); err != nil {
 			t.Fatalf("mode %d: clean append failed: %v", mode, err)
 		}
 		fs.FailAt(1, mode)
-		err := w.AppendCheckpoint(cp("u", 2))
+		err := commitCP(w, cp("u", 2))
 		if !errors.Is(err, faultfs.ErrInjected) {
 			t.Fatalf("mode %d: injected fault not surfaced: %v", mode, err)
 		}
-		if err := w.AppendCheckpoint(cp("u", 3)); err == nil {
+		if err := commitCP(w, cp("u", 3)); err == nil {
 			t.Fatalf("mode %d: writer not sticky after failure", mode)
 		}
 		fs.FailAt(0, mode)
@@ -282,11 +306,11 @@ func TestAppendFaults(t *testing.T) {
 func TestSyncDropCrashLosesTail(t *testing.T) {
 	fs := faultfs.New()
 	w := openFresh(t, fs, "j", journal.Options{})
-	if err := w.AppendCheckpoint(cp("u", 1)); err != nil {
+	if err := commitCP(w, cp("u", 1)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	fs.FailAt(2, faultfs.ModeSyncDrop) // next append: write op 1 ok, sync op 2 dropped
-	if err := w.AppendCheckpoint(cp("u", 2)); err != nil {
+	if err := commitCP(w, cp("u", 2)); err != nil {
 		t.Fatalf("sync-drop append should report success: %v", err)
 	}
 	fs.FailAt(0, faultfs.ModeSyncDrop)
@@ -298,12 +322,12 @@ func TestSyncDropCrashLosesTail(t *testing.T) {
 }
 
 // TestReplayFrom pins the reconnect-replay index math over the retained
-// window ring.
+// window ring: 10 windows against its 8-window bound.
 func TestReplayFrom(t *testing.T) {
 	fs := faultfs.New()
-	w := openFresh(t, fs, "j", journal.Options{RetainWindows: 2})
-	for i := uint64(1); i <= 4; i++ {
-		if err := w.AppendCheckpoint(cp("u", i)); err != nil {
+	w := openFresh(t, fs, "j", journal.Options{})
+	for i := uint64(1); i <= 10; i++ {
+		if err := commitCP(w, cp("u", i)); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -311,15 +335,19 @@ func TestReplayFrom(t *testing.T) {
 	if u == nil {
 		t.Fatalf("no resume state")
 	}
-	// 4 windows x 2 records: out=8; ring retains windows 3,4 → indexes 4..7.
-	if recs, ok := u.ReplayFrom(8); !ok || len(recs) != 0 {
+	// 10 windows x 2 records: out=20; ring retains windows 3..10 →
+	// indexes 4..19.
+	if len(u.Retained) != 8 {
+		t.Fatalf("ring holds %d windows, want 8", len(u.Retained))
+	}
+	if recs, ok := u.ReplayFrom(20); !ok || len(recs) != 0 {
 		t.Fatalf("replay at head: %v %v", recs, ok)
 	}
-	if recs, ok := u.ReplayFrom(5); !ok || len(recs) != 3 {
-		t.Fatalf("replay mid-ring: %d records, ok=%v (want 3)", len(recs), ok)
+	if recs, ok := u.ReplayFrom(5); !ok || len(recs) != 15 {
+		t.Fatalf("replay mid-ring: %d records, ok=%v (want 15)", len(recs), ok)
 	}
-	if recs, ok := u.ReplayFrom(4); !ok || len(recs) != 4 {
-		t.Fatalf("replay ring start: %d records, ok=%v (want 4)", len(recs), ok)
+	if recs, ok := u.ReplayFrom(4); !ok || len(recs) != 16 {
+		t.Fatalf("replay ring start: %d records, ok=%v (want 16)", len(recs), ok)
 	}
 	if _, ok := u.ReplayFrom(3); ok {
 		t.Fatalf("replay before ring start must report unrecoverable")
@@ -343,7 +371,7 @@ func TestWriterLifecycle(t *testing.T) {
 	if st != nil || info.Segments != 0 {
 		t.Fatalf("foreign file treated as segment: %+v", info)
 	}
-	if err := w.AppendCheckpoint(cp("u", 1)); err == nil {
+	if err := commitCP(w, cp("u", 1)); err == nil {
 		t.Fatalf("append before Install accepted")
 	}
 	if err := w.Install(journal.NewState(7)); err != nil {
@@ -358,7 +386,7 @@ func TestWriterLifecycle(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if err := w.AppendCheckpoint(cp("u", 1)); !errors.Is(err, journal.ErrClosed) {
+	if err := commitCP(w, cp("u", 1)); !errors.Is(err, journal.ErrClosed) {
 		t.Fatalf("append after close: %v", err)
 	}
 	if _, err := fs.ReadFile("j/README.txt"); err != nil {
@@ -370,16 +398,29 @@ func TestWriterLifecycle(t *testing.T) {
 // compaction: N segments in, one out, same state.
 func TestInstallCompactsOldSegments(t *testing.T) {
 	fs := faultfs.New()
-	w := openFresh(t, fs, "j", journal.Options{CompactEvery: 2})
-	for i := uint64(1); i <= 7; i++ {
-		if err := w.AppendCheckpoint(cp(fmt.Sprintf("u%d", i), i)); err != nil {
+	w := openFresh(t, fs, "j", journal.Options{})
+	var b journal.Batch
+	for i := uint64(1); i <= compactEvery+7; i++ {
+		b.Reset()
+		b.AddCheckpoint(cp(fmt.Sprintf("u%d", i%7), i))
+		if err := w.Commit(&b); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	w2, st, _ := reopen(t, fs, "j", journal.Options{})
+	// Rotation already removed segment 0; plant a stale copy of the
+	// survivor under its name so the reopen scans two segments.
+	live, err := fs.ReadFile("j/wal-00000001.log")
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	fs.WriteFile("j/wal-00000000.log", live)
+	w2, st, info := reopen(t, fs, "j", journal.Options{})
+	if info.Segments != 2 {
+		t.Fatalf("reopen scanned %d segments, want 2", info.Segments)
+	}
 	if err := w2.Install(st); err != nil {
 		t.Fatalf("install: %v", err)
 	}
@@ -396,49 +437,122 @@ func TestInstallCompactsOldSegments(t *testing.T) {
 
 // TestCommitSyncsOncePerGroup pins group commit at the writer: a batch
 // costs one fsync, not one per record, and durable progress covers the
-// whole group once it returns; with SyncEvery>1 the cadence is checked at
-// the end of the group; and the refold equals the writer's state.
+// whole group once it returns; Close adds no fsync; and the refold
+// equals the writer's state.
 func TestCommitSyncsOncePerGroup(t *testing.T) {
-	for _, every := range []int{1, 4} {
-		fs := faultfs.New()
-		w := openFresh(t, fs, "j", journal.Options{SyncEvery: every})
-		base := w.Stats().Syncs
-		var b journal.Batch
-		for i := uint64(1); i <= 3; i++ {
-			b.AddCheckpoint(cp("u", i))
-		}
-		b.AddDeploy(journal.Deployment{Generation: 1, Mechanism: "rounding"})
-		if err := w.Commit(&b); err != nil {
-			t.Fatalf("SyncEvery=%d: commit: %v", every, err)
-		}
-		if got := w.Stats().Syncs - base; got != 1 {
-			t.Fatalf("SyncEvery=%d: a 4-record group cost %d fsyncs, want 1", every, got)
-		}
-		if d := w.UserResume("u").DurableIn; d != 6 {
-			t.Fatalf("SyncEvery=%d: durable_in %d after the group, want 6", every, d)
-		}
-		b.Reset()
-		b.AddCheckpoint(cp("u", 4))
-		if err := w.Commit(&b); err != nil {
-			t.Fatalf("SyncEvery=%d: commit: %v", every, err)
-		}
-		wantSyncs, wantDurable := uint64(2), uint64(8)
-		if every > 1 {
-			wantSyncs, wantDurable = 1, 6 // one append short of the cadence
-		}
-		if got := w.Stats().Syncs - base; got != wantSyncs {
-			t.Fatalf("SyncEvery=%d: %d fsyncs after a second group, want %d", every, got, wantSyncs)
-		}
-		if d := w.UserResume("u").DurableIn; d != wantDurable {
-			t.Fatalf("SyncEvery=%d: durable_in %d, want %d", every, d, wantDurable)
-		}
-		want := w.State()
-		if err := w.Close(); err != nil {
-			t.Fatalf("SyncEvery=%d: close: %v", every, err)
-		}
-		_, got, _ := reopen(t, fs, "j", journal.Options{})
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("SyncEvery=%d: refold mismatch:\n got %+v\nwant %+v", every, got, want)
-		}
+	fs := faultfs.New()
+	w := openFresh(t, fs, "j", journal.Options{})
+	base := w.Stats().Syncs
+	var b journal.Batch
+	for i := uint64(1); i <= 3; i++ {
+		b.AddCheckpoint(cp("u", i))
+	}
+	b.AddDeploy(journal.Deployment{Generation: 1, Mechanism: "rounding"})
+	if err := w.Commit(&b); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if got := w.Stats().Syncs - base; got != 1 {
+		t.Fatalf("a 4-record group cost %d fsyncs, want 1", got)
+	}
+	if d := w.UserResume("u").DurableIn; d != 6 {
+		t.Fatalf("durable_in %d after the group, want 6", d)
+	}
+	b.Reset()
+	b.AddCheckpoint(cp("u", 4))
+	if err := w.Commit(&b); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if got := w.Stats().Syncs - base; got != 2 {
+		t.Fatalf("%d fsyncs after a second group, want 2", got)
+	}
+	if d := w.UserResume("u").DurableIn; d != 8 {
+		t.Fatalf("durable_in %d, want 8", d)
+	}
+	want := w.State()
+	if err := w.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if got := w.Stats().Syncs - base; got != 2 {
+		t.Fatalf("Close fsynced: %d fsyncs, want 2", got)
+	}
+	_, got, _ := reopen(t, fs, "j", journal.Options{})
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("refold mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// segmentFormatSHA256 is the SHA-256 of the segment TestSegmentFormatPinned
+// writes. It pins the on-disk format: a change to framing, field order or
+// map ordering changes it, and an old journal would no longer fold.
+const segmentFormatSHA256 = "fbe553e3681348bea11701bcba9343581322db1fef0727a359f19b4cbad28b44"
+
+// TestSegmentFormatPinned writes a fixed Install + Commit sequence — a
+// snapshot whose deployment has overrides and whose user has a retained
+// window, checkpoints carrying Pending and Window, and a deploy record —
+// and compares the resulting segment's bytes against a pinned digest.
+func TestSegmentFormatPinned(t *testing.T) {
+	fs := faultfs.New()
+	w, _, _, err := journal.Open("j", journal.Options{FS: fs})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	st := journal.NewState(11)
+	st.Deploy = journal.Deployment{
+		Generation: 2,
+		Mechanism:  "geoi",
+		Params:     map[string]float64{"epsilon": 0.01},
+		Overrides: map[string]map[string]float64{
+			"bob":   {"epsilon": 0.02},
+			"carol": {"epsilon": 0.005},
+		},
+	}
+	st.Users["alice"] = &journal.UserState{
+		Checkpoint: journal.Checkpoint{User: "alice", Generation: 2, RNGPos: 6, In: 2, Out: 2, Windows: 1},
+		Retained: []journal.RetainedWindow{
+			{Start: 0, Recs: []trace.Record{rec("alice", 1_000_000_001, 48.85, 2.35), rec("alice", 1_000_000_002, 48.86, 2.36)}},
+		},
+	}
+	if err := w.Install(st); err != nil {
+		t.Fatalf("Install: %v", err)
+	}
+	var b journal.Batch
+	b.AddCheckpoint(journal.Checkpoint{
+		User: "alice", Generation: 2, RNGPos: 12, In: 4, Out: 4, Windows: 2,
+		Window: []trace.Record{rec("alice", 1_000_000_003, 48.87, 2.37), rec("alice", 1_000_000_004, 48.88, 2.38)},
+	})
+	b.AddCheckpoint(journal.Checkpoint{
+		User: "bob", Generation: 2, RNGPos: 3, In: 3, Out: 2, Windows: 1,
+		Pending: []trace.Record{rec("bob", 2_000_000_003, -33.86, 151.2)},
+	})
+	if err := w.Commit(&b); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	b.Reset()
+	b.AddDeploy(journal.Deployment{
+		Generation: 3,
+		Mechanism:  "rounding",
+		Params:     map[string]float64{"cell_m": 250},
+		Overrides:  map[string]map[string]float64{"bob": {"cell_m": 500}},
+	})
+	b.AddCheckpoint(journal.Checkpoint{
+		User: "bob", Generation: 3, RNGPos: 9, In: 4, Out: 4, Windows: 2,
+		Window: []trace.Record{rec("bob", 2_000_000_003, -33.87, 151.21), rec("bob", 2_000_000_004, -33.88, 151.22)},
+	})
+	if err := w.Commit(&b); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	names := fs.Files()
+	if len(names) != 1 || names[0] != "j/wal-00000000.log" {
+		t.Fatalf("segments %v, want exactly j/wal-00000000.log", names)
+	}
+	data, err := fs.ReadFile(names[0])
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != segmentFormatSHA256 {
+		t.Fatalf("segment SHA-256 %s, want %s (%d bytes): the on-disk format changed", got, segmentFormatSHA256, len(data))
 	}
 }

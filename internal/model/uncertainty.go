@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/rng"
 	"repro/internal/stat"
@@ -82,12 +81,11 @@ func BootstrapConfigure(r *rng.Source, xs, privacy, utility []float64, tolFrac f
 	if len(logValues) < 2 {
 		return ConfigurationCI{}, fmt.Errorf("model: only %d feasible bootstrap replicates; increase repeats or relax objectives", len(logValues))
 	}
-	sort.Float64s(logValues)
 	alpha := (1 - level) / 2
 	out.Value = stat.CI{
 		Point: base.Value,
-		Lo:    math.Exp(quantileSorted(logValues, alpha)),
-		Hi:    math.Exp(quantileSorted(logValues, 1-alpha)),
+		Lo:    math.Exp(stat.Quantile(logValues, alpha)),
+		Hi:    math.Exp(stat.Quantile(logValues, 1-alpha)),
 		Level: level,
 	}
 	return out, nil
@@ -119,20 +117,4 @@ func perturb(xs, ys []float64, m LogLinear, res []float64, r *rng.Source) []floa
 		out[i] = m.Predict(x) + res[r.Intn(len(res))]
 	}
 	return out
-}
-
-// quantileSorted returns the q-quantile of a sorted slice by linear
-// interpolation.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

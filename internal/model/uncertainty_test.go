@@ -79,19 +79,3 @@ func TestBootstrapConfigureErrors(t *testing.T) {
 		t.Error("flat privacy series should fail")
 	}
 }
-
-func TestQuantileSorted(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := quantileSorted(xs, 0); got != 1 {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := quantileSorted(xs, 1); got != 5 {
-		t.Errorf("q1 = %v", got)
-	}
-	if got := quantileSorted(xs, 0.5); got != 3 {
-		t.Errorf("median = %v", got)
-	}
-	if got := quantileSorted([]float64{7}, 0.3); got != 7 {
-		t.Errorf("singleton = %v", got)
-	}
-}

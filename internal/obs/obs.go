@@ -288,38 +288,3 @@ func (r *Registry) Gather() []Sample {
 	}
 	return out
 }
-
-// View indexes a Gather result for the lookups a stats surface needs.
-type View struct {
-	samples []Sample
-}
-
-// NewView wraps a Gather result.
-func NewView(samples []Sample) *View { return &View{samples: samples} }
-
-// Sum adds every series of the metric (all label sets) — how a per-shard
-// counter aggregates to the gateway total.
-func (v *View) Sum(name string) float64 {
-	var sum float64
-	for i := range v.samples {
-		if v.samples[i].Name == name {
-			sum += v.samples[i].Value
-		}
-	}
-	return sum
-}
-
-// Value returns the single series' value, 0 when absent.
-func (v *View) Value(name string) float64 { return v.Sum(name) }
-
-// Series counts how many label sets the metric has — e.g. the number of
-// shards behind a per-shard gauge.
-func (v *View) Series(name string) int {
-	n := 0
-	for i := range v.samples {
-		if v.samples[i].Name == name {
-			n++
-		}
-	}
-	return n
-}

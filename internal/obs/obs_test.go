@@ -40,16 +40,28 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Gauge("thing", "", nil)
 }
 
+// sumSeries adds every series of the named metric across its label sets
+// and counts them.
+func sumSeries(samples []Sample, name string) (sum float64, series int) {
+	for _, s := range samples {
+		if s.Name == name {
+			sum += s.Value
+			series++
+		}
+	}
+	return sum, series
+}
+
 func TestRegistryFuncReplacement(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("depth", "", nil, func() float64 { return 1 })
 	r.GaugeFunc("depth", "", nil, func() float64 { return 2 })
-	v := NewView(r.Gather())
-	if got := v.Value("depth"); got != 2 {
-		t.Fatalf("after re-registration Value = %v, want the newest callback's 2", got)
+	sum, series := sumSeries(r.Gather(), "depth")
+	if sum != 2 {
+		t.Fatalf("after re-registration value = %v, want the newest callback's 2", sum)
 	}
-	if got := v.Series("depth"); got != 1 {
-		t.Fatalf("Series = %d, want 1 (replacement, not duplication)", got)
+	if series != 1 {
+		t.Fatalf("series = %d, want 1 (replacement, not duplication)", series)
 	}
 }
 
@@ -75,20 +87,19 @@ func TestNopRegistryRecordsNothing(t *testing.T) {
 	clk.Observe(StageIngest, 1, 2)
 }
 
-func TestViewSumAcrossLabels(t *testing.T) {
+// TestGatherSeriesPerLabelSet pins that Gather reports one sample per
+// label set, so a per-shard counter sums to the gateway total.
+func TestGatherSeriesPerLabelSet(t *testing.T) {
 	r := NewRegistry()
 	for i, n := range []uint64{3, 5, 7} {
 		r.Counter("shard_total", "", Labels{"shard": fmt.Sprint(i)}).Add(n)
 	}
-	v := NewView(r.Gather())
-	if got := v.Sum("shard_total"); got != 15 {
-		t.Fatalf("Sum = %v, want 15", got)
+	samples := r.Gather()
+	if sum, series := sumSeries(samples, "shard_total"); sum != 15 || series != 3 {
+		t.Fatalf("shard_total: sum %v over %d series, want 15 over 3", sum, series)
 	}
-	if got := v.Series("shard_total"); got != 3 {
-		t.Fatalf("Series = %d, want 3", got)
-	}
-	if got := v.Sum("absent"); got != 0 {
-		t.Fatalf("Sum(absent) = %v, want 0", got)
+	if sum, series := sumSeries(samples, "absent"); sum != 0 || series != 0 {
+		t.Fatalf("absent: sum %v over %d series, want none", sum, series)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // draw fresh randomness for records it already protected. DurableIn is
 // the count on stable storage: the buffer must not be trimmed below it,
 // because a crash can roll the server back that far. The two split only
-// while a checkpoint waits for the fsync that covers it (longer with
-// SyncEvery > 1); after a crash-restart the fold equalizes them.
+// while a checkpoint waits for the fsync that covers it; after a
+// crash-restart the fold equalizes them.
 type ResumeInfo struct {
 	User       string `json:"user"`
 	Known      bool   `json:"known"`

@@ -14,6 +14,17 @@ import (
 	"repro/internal/server/client"
 )
 
+// sumSeries adds every series of the named metric across its label sets.
+func sumSeries(samples []obs.Sample, name string) float64 {
+	var sum float64
+	for _, s := range samples {
+		if s.Name == name {
+			sum += s.Value
+		}
+	}
+	return sum
+}
+
 // TestStatsMatchesRegistry is the no-drift check of the stats rework: the
 // /v1/stats body and the registry must quote the same numbers, because the
 // former is now assembled from the latter's Gather.
@@ -26,17 +37,17 @@ func TestStatsMatchesRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := obs.NewView(env.gw.Obs().Gather())
-	if got, want := st.Gateway.Ingested, uint64(v.Sum("lppm_shard_ingested_total")); got != want {
+	samples := env.gw.Obs().Gather()
+	if got, want := st.Gateway.Ingested, uint64(sumSeries(samples, "lppm_shard_ingested_total")); got != want {
 		t.Errorf("stats ingested = %d, registry says %d", got, want)
 	}
-	if got, want := st.Gateway.Emitted, uint64(v.Sum("lppm_shard_emitted_total")); got != want {
+	if got, want := st.Gateway.Emitted, uint64(sumSeries(samples, "lppm_shard_emitted_total")); got != want {
 		t.Errorf("stats emitted = %d, registry says %d", got, want)
 	}
 	if st.Gateway.Ingested != uint64(len(recs)) {
 		t.Errorf("ingested = %d, want %d", st.Gateway.Ingested, len(recs))
 	}
-	if got, want := st.Server.StreamsTotal, uint64(v.Value("lppm_server_streams_total")); got != want {
+	if got, want := st.Server.StreamsTotal, uint64(sumSeries(samples, "lppm_server_streams_total")); got != want {
 		t.Errorf("stats streams_total = %d, registry says %d", got, want)
 	}
 	if st.Server.StreamsTotal != 1 {
@@ -144,7 +155,7 @@ func TestEndpointRequestMetrics(t *testing.T) {
 	var samples []obs.Sample
 	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
 		samples = env.gw.Obs().Gather()
-		if obs.NewView(samples).Sum("lppm_http_inflight") == 0 {
+		if sumSeries(samples, "lppm_http_inflight") == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -203,11 +214,11 @@ func TestClientWithObs(t *testing.T) {
 		t.Fatalf("received %d records, want %d", n, len(recs))
 	}
 
-	v := obs.NewView(reg.Gather())
-	if got := v.Value("lppm_client_stream_sent_total"); got != float64(len(recs)) {
+	samples := reg.Gather()
+	if got := sumSeries(samples, "lppm_client_stream_sent_total"); got != float64(len(recs)) {
 		t.Errorf("sent counter = %v, want %d", got, len(recs))
 	}
-	if got := v.Value("lppm_client_stream_received_total"); got != float64(len(recs)) {
+	if got := sumSeries(samples, "lppm_client_stream_received_total"); got != float64(len(recs)) {
 		t.Errorf("received counter = %v, want %d", got, len(recs))
 	}
 	var latCount uint64

@@ -124,7 +124,7 @@ func TestResumeAndReplayEndpoints(t *testing.T) {
 func TestReplayRingBounded(t *testing.T) {
 	cfg := journaledConfig(53)
 	gw, _, err := service.Recover(context.Background(), cfg,
-		service.JournalConfig{Dir: t.TempDir(), RetainWindows: 1})
+		service.JournalConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,8 @@ func TestReplayRingBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := startServer(t, srv)
-	streamAll(t, cl, makeRecords(1, 12)) // three windows; ring keeps the last
+	// Ten 4-record windows; the 8-window ring keeps output 8..39.
+	streamAll(t, cl, makeRecords(1, 40))
 
 	if _, err := cl.Replay(context.Background(), "u00", 8); err != nil {
 		t.Errorf("replay inside the ring: %v", err)

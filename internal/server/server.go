@@ -941,7 +941,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 // records with absolute output index >= N, as NDJSON in emission order —
 // the delivery gap of a client that crashed (or lost its connection) after
 // the journal made a window durable but before the bytes arrived. The
-// ring is bounded (Options.RetainWindows), so a gap older than the ring
+// ring is bounded (8 windows per user), so a gap older than the ring
 // answers 410: the journal can prove the records existed but no longer
 // holds them.
 func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {

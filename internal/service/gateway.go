@@ -568,13 +568,13 @@ func (g *Gateway) journalPump() {
 }
 
 // JournalBarrier waits until every journal append enqueued so far has
-// been committed — folded into the writer's state and, under the default
-// fsync policy, fsynced — so the folded state covers everything the
-// gateway has emitted. The server's resume/replay handlers call it before
-// reading per-user state: without the barrier, a window emitted moments
-// ago could be missing from both the client's delivery and the folded
-// replay ring. No-op without a journal or after Close (a drained, closed
-// journal is trivially current).
+// been committed — folded into the writer's state and fsynced — so the
+// folded state covers everything the gateway has emitted. The server's
+// resume/replay handlers call it before reading per-user state: without
+// the barrier, a window emitted moments ago could be missing from both
+// the client's delivery and the folded replay ring. No-op without a
+// journal or after Close (a drained, closed journal is trivially
+// current).
 func (g *Gateway) JournalBarrier() error {
 	done := g.enqueueBarrier()
 	if done == nil {

@@ -16,18 +16,6 @@ type JournalConfig struct {
 	// FS overrides the filesystem (fault-injection tests); nil uses the
 	// host filesystem.
 	FS journal.FS
-	// SyncEvery fsyncs every Nth append; <=1 (the default) syncs every
-	// append — the setting the crash-matrix equivalence proof assumes.
-	SyncEvery int
-	// CompactEvery rotates to a fresh snapshot-headed segment after this
-	// many appends; 0 uses the journal default (4096).
-	CompactEvery int
-	// RetainWindows bounds the per-user reconnect-replay ring; 0 uses
-	// the journal default (8).
-	RetainWindows int
-	// Resolve maps a journaled mechanism name back to an instance at
-	// recovery; nil uses the standard lppm registry.
-	Resolve func(name string) (lppm.Mechanism, error)
 }
 
 // RecoveryInfo reports what Recover found — surfaced by /healthz.
@@ -51,14 +39,15 @@ type RecoveryInfo struct {
 // Recover opens (or creates) the stream journal in jc.Dir and
 // builds a journaling gateway from it. A fresh directory starts a new
 // journal seeded from cfg; an existing one resumes: the journaled
-// deployment (mechanism by name, parameters, overrides, generation)
-// replaces cfg's, and every checkpointed user is parked in the restore
-// tables so their streams rebuild lazily — re-seeked to the journaled
-// rng position with the pending window re-buffered — on their first
-// record. A gateway recovered this way produces, for every user, the
-// byte-for-byte output a never-restarted gateway would have produced
-// from the same input (see DESIGN.md §13 for the argument; the crash
-// matrix in recover_test.go checks it at every record boundary).
+// deployment (mechanism by name from the standard lppm registry,
+// parameters, overrides, generation) replaces cfg's, and every
+// checkpointed user is parked in the restore tables so their streams
+// rebuild lazily — re-seeked to the journaled rng position with the
+// pending window re-buffered — on their first record. A gateway
+// recovered this way produces, for every user, the byte-for-byte output
+// a never-restarted gateway would have produced from the same input (see
+// DESIGN.md §13 for the argument; the crash matrix in recover_test.go
+// checks it at every record boundary).
 //
 // Opening always installs a fresh compacted snapshot segment and
 // removes older ones, so recovery cost is bounded by the checkpointed
@@ -71,12 +60,7 @@ func Recover(ctx context.Context, cfg Config, jc JournalConfig) (*Gateway, *Reco
 	if cfg.Tracer != nil {
 		recStart = obs.Stamp()
 	}
-	w, st, open, err := journal.Open(jc.Dir, journal.Options{
-		FS:            jc.FS,
-		SyncEvery:     jc.SyncEvery,
-		CompactEvery:  jc.CompactEvery,
-		RetainWindows: jc.RetainWindows,
-	})
+	w, st, open, err := journal.Open(jc.Dir, journal.Options{FS: jc.FS})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -116,12 +100,7 @@ func Recover(ctx context.Context, cfg Config, jc JournalConfig) (*Gateway, *Reco
 				"service: journal %s was written under seed %d, config says %d",
 				jc.Dir, st.Seed, cfg.Seed))
 		}
-		resolve := jc.Resolve
-		if resolve == nil {
-			reg := lppm.NewRegistry()
-			resolve = reg.Get
-		}
-		mech, err := resolve(st.Deploy.Mechanism)
+		mech, err := lppm.NewRegistry().Get(st.Deploy.Mechanism)
 		if err != nil {
 			return nil, nil, closeOnErr(w, fmt.Errorf("service: recover deployment: %w", err))
 		}

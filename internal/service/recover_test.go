@@ -366,14 +366,20 @@ func TestRecoverSeedMismatch(t *testing.T) {
 // recovery, not silently fall back to the configured mechanism.
 func TestRecoverUnknownMechanism(t *testing.T) {
 	fs := faultfs.New()
-	journaledRun(t, fs)
-	_, _, err := Recover(context.Background(), cmConfig(), JournalConfig{
-		Dir: "j", FS: fs,
-		Resolve: func(name string) (lppm.Mechanism, error) {
-			return nil, fmt.Errorf("no mechanism %q in this build", name)
-		},
-	})
-	if err == nil || !strings.Contains(err.Error(), "no mechanism") {
+	w, _, _, err := journal.Open("j", journal.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := journal.NewState(cmSeed)
+	st.Deploy = journal.Deployment{Mechanism: "not-registered", Params: map[string]float64{lppm.EpsilonParam: 0.8}}
+	if err := w.Install(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Recover(context.Background(), cmConfig(), JournalConfig{Dir: "j", FS: fs})
+	if err == nil || !strings.Contains(err.Error(), `unknown mechanism "not-registered"`) {
 		t.Fatalf("unresolvable mechanism accepted: %v", err)
 	}
 }
