@@ -15,6 +15,7 @@ package repro_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/attack"
 	"repro/internal/core"
@@ -312,28 +313,48 @@ func BenchmarkAblationModelFamily(b *testing.B) {
 // per-point geo-indistinguishability erodes over correlated trajectories: a
 // moving-average adversary removes a large share of GEO-I's noise, but gets
 // nothing from Promesse, whose protection is structural.
+//
+// The GEO-I gain depends far more on the fleet than on the noise (one
+// fleet varies by about ±0.01 over noise seeds, fleets span 0.06–0.27), so
+// the check is stated over the mean of a fixed set of fleets: the fixture's
+// shape under synth seeds 1–8.
 func BenchmarkAblationSmoothingAttack(b *testing.B) {
 	f := getFixture(b)
 	geoi := lppm.NewGeoIndistinguishability()
 	adv := attack.SmoothingAdvantage{Window: 9}
-	users := f.dataset.Users()
 
-	gains := make([]float64, 0, len(users))
-	for _, u := range users {
-		tr := f.dataset.Trace(u)
-		prot, err := geoi.Protect(tr, lppm.Params{lppm.EpsilonParam: 0.01}, rng.New(3))
+	fleetGains := make([]float64, 0, 8)
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := synth.DefaultConfig()
+		cfg.NumDrivers = 25
+		cfg.Duration = 12 * time.Hour
+		cfg.Seed = seed
+		fleet, err := synth.Generate(cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		g, err := adv.Evaluate(tr, prot)
-		if err != nil {
-			b.Fatal(err)
+		noise := rng.New(3)
+		users := fleet.Dataset.Users()
+		gains := make([]float64, 0, len(users))
+		for _, u := range users {
+			tr := fleet.Dataset.Trace(u)
+			prot, err := geoi.Protect(tr, lppm.Params{lppm.EpsilonParam: 0.01}, noise.Named(u))
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := adv.Evaluate(tr, prot)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gains = append(gains, g)
 		}
-		gains = append(gains, g)
+		fleetGains = append(fleetGains, stat.Mean(gains))
+		b.Logf("ablation: synth seed %d: smoothing removes %.1f%% of GEO-I noise at ε=0.01 (mean over %d users)",
+			seed, stat.Mean(gains)*100, len(users))
 	}
-	meanGain := stat.Mean(gains)
-	b.Logf("ablation: smoothing removes %.0f%% of GEO-I noise at ε=0.01 (mean over %d users)",
-		meanGain*100, len(users))
+	meanGain := stat.Mean(fleetGains)
+	b.Logf("ablation: smoothing removes %.1f%% of GEO-I noise at ε=0.01 (mean over %d fleets)",
+		meanGain*100, len(fleetGains))
 	// Sparse sampling (60 s fixes at driving speed) limits what the
 	// window can average without blurring the path, so the gain is
 	// smaller than on densely-sampled drives — but must stay material.
@@ -341,6 +362,7 @@ func BenchmarkAblationSmoothingAttack(b *testing.B) {
 		b.Fatalf("smoothing gain %v, want ≥ 0.1 on i.i.d. noise", meanGain)
 	}
 
+	users := f.dataset.Users()
 	promesse := lppm.NewPromesse()
 	tr := f.dataset.Trace(users[0])
 	pprot, err := promesse.Protect(tr, lppm.Params{lppm.AlphaParam: 200}, rng.New(3))

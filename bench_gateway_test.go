@@ -110,8 +110,8 @@ func runGatewayPass(b *testing.B, shards int, slices [][]trace.Record, total int
 // points/sec for 1, 4 and 8 shards. The shard configurations are
 // interleaved within every iteration so all three see the same machine
 // conditions; sequential per-config runs would let load drift on shared
-// hardware swamp the shard effect. The per-record cost is dominated by
-// exact planar-Laplace sampling (Lambert W), so on multi-core hardware
+// hardware swamp the shard effect. Exact planar-Laplace sampling is a
+// large share of the per-record cost, so on multi-core hardware
 // throughput rises with shards until routing saturates; on a single core
 // the margin comes from smaller per-shard user tables and per-shard queue
 // and output-buffer slack.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -32,9 +33,15 @@ const (
 
 // Record kinds.
 const (
-	kindSnapshot   byte = 1
-	kindDeploy     byte = 2
-	kindCheckpoint byte = 3
+	// kindUnstampedSnapshot is the snapshot layout from before snapshots
+	// named their random generator. It is never written; it decodes as a
+	// kindSnapshot whose State.Generator is empty, so recovery can refuse
+	// the journal by name instead of skipping it as a torn rotation head.
+	kindUnstampedSnapshot byte = 1
+	kindDeploy            byte = 2
+	kindCheckpoint        byte = 3
+	// kindSnapshot is State.Generator followed by the unstamped layout.
+	kindSnapshot byte = 4
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -103,19 +110,24 @@ type UserState struct {
 // replay verifiable: recovery re-folds the log and must land on the same
 // value (asserted in tests).
 type State struct {
-	Seed   int64
-	Deploy Deployment
-	Users  map[string]*UserState
+	Seed int64
+	// Generator names the random generator whose draws the checkpointed
+	// RNGPos values count; empty for a journal written before snapshots
+	// carried it.
+	Generator string
+	Deploy    Deployment
+	Users     map[string]*UserState
 }
 
-// NewState returns an empty state for the given seed.
+// NewState returns an empty state for the given seed, stamped with the
+// generator this build draws from.
 func NewState(seed int64) *State {
-	return &State{Seed: seed, Users: make(map[string]*UserState)}
+	return &State{Seed: seed, Generator: rng.Generator, Users: make(map[string]*UserState)}
 }
 
 // Clone deep-copies the state.
 func (s *State) Clone() *State {
-	c := &State{Seed: s.Seed, Deploy: cloneDeployment(s.Deploy), Users: make(map[string]*UserState, len(s.Users))}
+	c := &State{Seed: s.Seed, Generator: s.Generator, Deploy: cloneDeployment(s.Deploy), Users: make(map[string]*UserState, len(s.Users))}
 	for u, us := range s.Users {
 		c.Users[u] = us.clone()
 	}
@@ -267,6 +279,7 @@ func (e *encoder) checkpoint(cp Checkpoint) {
 }
 
 func (e *encoder) snapshot(s *State) {
+	e.str(s.Generator)
 	e.i64(s.Seed)
 	e.deployment(s.Deploy)
 	users := make([]string, 0, len(s.Users))
@@ -470,8 +483,15 @@ func (c *cursor) checkpoint() Checkpoint {
 	}
 }
 
-func (c *cursor) snapshot() *State {
+// snapshot decodes a snapshot payload; stamped says whether it starts with
+// the generator name (kindSnapshot) or predates it (kindUnstampedSnapshot).
+func (c *cursor) snapshot(stamped bool) *State {
+	var gen string
+	if stamped {
+		gen = c.str("snapshot generator")
+	}
 	s := NewState(c.i64("snapshot seed"))
+	s.Generator = gen
 	s.Deploy = c.deployment()
 	n := c.count(48, "snapshot users")
 	for i := 0; i < n; i++ {
@@ -495,8 +515,9 @@ func decodeEntry(payload []byte) (entry, error) {
 	c := &cursor{b: payload}
 	e := entry{kind: c.u8("kind")}
 	switch e.kind {
-	case kindSnapshot:
-		e.snap = c.snapshot()
+	case kindSnapshot, kindUnstampedSnapshot:
+		e.snap = c.snapshot(e.kind == kindSnapshot)
+		e.kind = kindSnapshot
 	case kindDeploy:
 		e.dep = c.deployment()
 	case kindCheckpoint:

@@ -198,13 +198,18 @@ func TestRegenFuzzCorpus(t *testing.T) {
 		lie = binary.LittleEndian.AppendUint64(lie, 1)
 	}
 	lie = binary.LittleEndian.AppendUint32(lie, 1<<30)
+	unstamped, err := os.ReadFile(filepath.Join("testdata", "unstamped-wal-00000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	corpus := map[string][]byte{
-		"valid_segment":   seg,
-		"truncated_tail":  seg[:len(seg)-7],
-		"torn_header":     seg[:frameHeader-3],
-		"flipped_crc":     flip,
-		"oversized_frame": over,
-		"lying_count":     appendFrame(nil, lie),
+		"valid_segment":     seg,
+		"unstamped_segment": unstamped,
+		"truncated_tail":    seg[:len(seg)-7],
+		"torn_header":       seg[:frameHeader-3],
+		"flipped_crc":       flip,
+		"oversized_frame":   over,
+		"lying_count":       appendFrame(nil, lie),
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -483,8 +485,10 @@ func TestCommitSyncsOncePerGroup(t *testing.T) {
 
 // segmentFormatSHA256 is the SHA-256 of the segment TestSegmentFormatPinned
 // writes. It pins the on-disk format: a change to framing, field order or
-// map ordering changes it, and an old journal would no longer fold.
-const segmentFormatSHA256 = "fbe553e3681348bea11701bcba9343581322db1fef0727a359f19b4cbad28b44"
+// map ordering changes it, and an old journal would no longer fold. The
+// segment written before snapshots named their generator is kept as
+// testdata/unstamped-wal-00000000.log (TestUnstampedSnapshotDecodes).
+const segmentFormatSHA256 = "687dfdb78ba278795f9b079d5fcd91e5c2353b5e9e81f80fa04212b5e40ca28a"
 
 // TestSegmentFormatPinned writes a fixed Install + Commit sequence — a
 // snapshot whose deployment has overrides and whose user has a retained
@@ -554,5 +558,36 @@ func TestSegmentFormatPinned(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != segmentFormatSHA256 {
 		t.Fatalf("segment SHA-256 %s, want %s (%d bytes): the on-disk format changed", got, segmentFormatSHA256, len(data))
+	}
+}
+
+// TestUnstampedSnapshotDecodes opens the segment TestSegmentFormatPinned
+// wrote before snapshots carried the generator name. It must fold as a
+// resumed state with an empty Generator, which recovery refuses by name;
+// skipping it as a torn rotation head would drop every user's resume
+// state without a word.
+func TestUnstampedSnapshotDecodes(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "unstamped-wal-00000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := faultfs.New()
+	fs.WriteFile("j/wal-00000000.log", data)
+	w, st, info, err := journal.Open("j", journal.Options{FS: fs})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer w.Close()
+	if !info.Resumed || info.Corrupted || st == nil {
+		t.Fatalf("unstamped segment not folded: %+v", info)
+	}
+	if st.Generator != "" {
+		t.Errorf("Generator = %q, want empty for an unstamped snapshot", st.Generator)
+	}
+	if st.Seed != 11 || st.Deploy.Mechanism != "rounding" || st.Deploy.Generation != 3 {
+		t.Errorf("folded state: seed %d, deployment %+v", st.Seed, st.Deploy)
+	}
+	if bob := st.Users["bob"]; bob == nil || bob.RNGPos != 9 {
+		t.Errorf("bob's checkpoint lost: %+v", bob)
 	}
 }

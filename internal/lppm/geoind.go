@@ -1,8 +1,6 @@
 package lppm
 
 import (
-	"fmt"
-
 	"repro/internal/rng"
 	"repro/internal/stat"
 	"repro/internal/trace"
@@ -16,9 +14,10 @@ const EpsilonParam = "epsilon"
 // GeoIndistinguishability is the LPPM of Andrés et al. (CCS'13) analyzed by
 // the paper: it perturbs every location independently with noise drawn from
 // the planar Laplace distribution, achieving ε-geo-indistinguishability —
-// the differential-privacy analogue for location data. Sampling is exact
-// (polar method through the Lambert W₋₁ inverse CDF), not a Gaussian
-// approximation.
+// the differential-privacy analogue for location data. Sampling is exact,
+// not a Gaussian approximation: a uniform angle and a Gamma(2, 1/ε) radius
+// drawn as the sum of two exponentials (stat.SamplePlanarLaplace), three
+// uniforms per record.
 type GeoIndistinguishability struct {
 	spec ParamSpec
 }
@@ -61,15 +60,4 @@ func (g *GeoIndistinguishability) Protect(t *trace.Trace, p Params, r *rng.Sourc
 		out.Records[i].Point = out.Records[i].Point.Offset(east, north)
 	}
 	return out, nil
-}
-
-// AccuracyRadius returns the radius within which a GEO-I-protected location
-// stays with the given confidence — the (α, δ)-accuracy bound of the
-// planar Laplace mechanism, useful to explain a chosen ε to a system
-// designer.
-func (g *GeoIndistinguishability) AccuracyRadius(epsilon, confidence float64) (float64, error) {
-	if confidence < 0 || confidence >= 1 {
-		return 0, fmt.Errorf("lppm: confidence must be in [0, 1), got %v", confidence)
-	}
-	return stat.PlanarLaplaceRadiusQuantile(epsilon, confidence)
 }

@@ -81,27 +81,6 @@ func TestGeoIParamSpec(t *testing.T) {
 	}
 }
 
-func TestGeoIAccuracyRadius(t *testing.T) {
-	g := NewGeoIndistinguishability()
-	// At ε=0.01, 95% of reported points fall within C⁻¹(0.95).
-	r95, err := g.AccuracyRadius(0.01, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r95 < 400 || r95 > 600 {
-		t.Errorf("95%% radius at eps=0.01 = %v, want ~474", r95)
-	}
-	if got := stat.PlanarLaplaceRadiusCDF(0.01, r95); math.Abs(got-0.95) > 1e-9 {
-		t.Errorf("CDF(radius) = %v, want 0.95", got)
-	}
-	if _, err := g.AccuracyRadius(0.01, 1); err == nil {
-		t.Error("confidence 1 should error")
-	}
-	if _, err := g.AccuracyRadius(0.01, -0.1); err == nil {
-		t.Error("negative confidence should error")
-	}
-}
-
 // TestGeoIIndistinguishabilityProperty empirically verifies the ε·d-privacy
 // guarantee on a discretized domain: for two nearby locations x1, x2 and any
 // reported cell S, P[S|x1] ≤ e^(ε·d(x1,x2)) · P[S|x2].
@@ -138,7 +117,7 @@ func TestGeoIIndistinguishabilityProperty(t *testing.T) {
 }
 
 // BenchmarkGeoIProtect prices the mechanism per record: one planar-Laplace
-// draw (a uniform angle and an exact W₋₁ radius) and the offset.
+// draw (a uniform angle and a Gamma(2) radius) and the offset.
 func BenchmarkGeoIProtect(b *testing.B) {
 	tr := mkTrace(b, "u", 1000)
 	g := NewGeoIndistinguishability()

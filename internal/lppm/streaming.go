@@ -92,9 +92,7 @@ func (s *UserStream) Reconfigure(m Mechanism, p Params) error {
 // journaled draw position, and re-buffers the pending window. The
 // result is bit-identical to the stream the checkpoint described — same
 // future draws, same window split — which is the foundation of the
-// crash-recovery equivalence proof (DESIGN.md §13). The SeekTo replays
-// r from its seed, so restore cost grows with stream age; recovery pays
-// it lazily, per returning user (see internal/service).
+// crash-recovery equivalence proof (DESIGN.md §13).
 func RestoreUserStream(m Mechanism, p Params, user string, r *rng.Source, pos uint64, pending []trace.Record) (*UserStream, error) {
 	s, err := NewUserStream(m, p, user, r)
 	if err != nil {
@@ -129,10 +127,7 @@ func (s *UserStream) Push(rec trace.Record) error {
 // no randomness. A retry therefore replays exactly the draws the first
 // attempt saw, and the documented stream ≡ batch bit-identity survives
 // transient mechanism failures; a caller that will not retry should Discard
-// instead. The rewind replays the source from its seed (rng.SeekTo), so
-// its cost grows with the stream's age — a deliberate trade: mechanism
-// errors are a cold path (parameters are validated up front), and the
-// no-randomness-consumed invariant is what keeps failure reproducible.
+// instead.
 func (s *UserStream) Flush() ([]trace.Record, error) {
 	if len(s.pending) == 0 {
 		return nil, nil

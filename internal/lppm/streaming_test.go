@@ -2,6 +2,7 @@ package lppm
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -295,6 +296,58 @@ func TestUserStreamPendingAndClear(t *testing.T) {
 	for i := range out {
 		if out[i] != recs[i] {
 			t.Errorf("identity stream changed record %d: %v != %v", i, out[i], recs[i])
+		}
+	}
+}
+
+// TestRestoreUserStreamFarPosition restores a stream 2³² draws in, which
+// replaying a generator from its seed could not do in reasonable time, and
+// checks that it takes under a millisecond and draws what a source seeked
+// there directly draws.
+func TestRestoreUserStreamFarPosition(t *testing.T) {
+	const pos = 1 << 32
+	g := NewGeoIndistinguishability()
+	p := Params{EpsilonParam: 0.01}
+	recs := streamRecords(4)
+	best := time.Duration(math.MaxInt64)
+	var s *UserStream
+	for attempt := 0; attempt < 5; attempt++ {
+		start := time.Now()
+		var err error
+		s, err = RestoreUserStream(g, p, "u1", rng.New(9), pos, recs[:2])
+		if d := time.Since(start); d < best {
+			best = d
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if best >= time.Millisecond {
+		t.Errorf("restore at position 2³² took %v, want < 1ms", best)
+	}
+	if s.Pos() != pos {
+		t.Fatalf("restored Pos = %d, want %d", s.Pos(), pos)
+	}
+	got, err := s.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := rng.New(9)
+	ref.SeekTo(pos)
+	tr, err := trace.NewTrace("u1", recs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := g.Protect(tr, p, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want.Records) {
+		t.Fatalf("flushed %d records, want %d", len(got), len(want.Records))
+	}
+	for i := range got {
+		if got[i] != want.Records[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want.Records[i])
 		}
 	}
 }

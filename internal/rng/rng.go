@@ -9,9 +9,23 @@ import (
 	"math/rand"
 )
 
-// Source is a deterministic random stream. It wraps math/rand with a
-// splittable-seed discipline: child streams derived via Split or Named are
-// independent of the parent's subsequent draws.
+// Generator names the base generator behind every Source. Anything that
+// persists a stream position (the journal's checkpoints) stamps it, because
+// a position means nothing under a different generator.
+const Generator = "splitmix64-counter"
+
+// LegacyGenerator names the generator Sources drew from before Generator:
+// math/rand's lagged-Fibonacci source. Positions recorded under it cannot
+// be resumed.
+const LegacyGenerator = "math/rand"
+
+// golden is SplitMix64's Weyl increment γ, 2⁶⁴ divided by the golden ratio.
+const golden = 0x9E3779B97F4A7C15
+
+// Source is a deterministic random stream: math/rand's Rand over SplitMix64
+// in counter form (Steele, Lea and Flood, OOPSLA 2014). Child streams
+// derived via Split or Named are independent of the parent's subsequent
+// draws.
 //
 // A Source also tracks its position — the count of base generator steps
 // consumed so far — so callers wrapping fallible randomized operations can
@@ -22,62 +36,64 @@ import (
 // A Source is NOT safe for concurrent use; give each goroutine its own via
 // Split.
 type Source struct {
-	*rand.Rand
-	cs   *countingSource
+	rand.Rand
+	ctr  counter
 	seed int64
 }
 
-// countingSource counts the base generator steps flowing through a
-// rand.Source64. Int63 and Uint64 both advance math/rand's generator by
-// exactly one step, so a single counter captures the position regardless of
-// which entry point rand.Rand uses.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
+// counter is the base generator. Step n (counting from 1) is the SplitMix64
+// finalizer of base + n·γ, so the position n is the whole state: seeking is
+// assigning it. Int63 and Uint64 both take exactly one step.
+type counter struct {
+	base, n uint64
 }
 
-func (c *countingSource) Int63() int64 { c.n++; return c.src.Int63() }
+func (c *counter) Uint64() uint64 {
+	c.n++
+	return finalize(c.base + c.n*golden)
+}
 
-func (c *countingSource) Uint64() uint64 { c.n++; return c.src.Uint64() }
+func (c *counter) Int63() int64 { return int64(c.Uint64() >> 1) }
 
-func (c *countingSource) Seed(seed int64) {
-	// Reseeding in place would leave Source.seed stale, so a later
-	// SeekTo would replay the original stream instead of the reseeded
-	// one — silently breaking the bit-identical-retry contract. No
-	// caller needs it; fail loudly instead of corrupting determinism.
+func (c *counter) Seed(seed int64) {
+	// Reseeding in place would leave Source.seed stale, so Seed and
+	// Split would describe a stream the Source no longer draws. No caller
+	// needs it; fail loudly instead of corrupting determinism.
 	panic("rng: reseeding a Source is not supported; create a new Source with rng.New")
 }
 
 // New returns a Source seeded with the given seed.
 func New(seed int64) *Source {
-	cs := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Source{Rand: rand.New(cs), cs: cs, seed: seed}
+	s := &Source{ctr: counter{base: uint64(mix(seed, 0))}, seed: seed}
+	s.Rand = *rand.New(&s.ctr)
+	return s
 }
 
 // Seed returns the seed this source was created with.
 func (s *Source) Seed() int64 { return s.seed }
 
 // Pos returns the source's position: how many base generator steps have been
-// consumed since creation (or the last SeekTo rewind past this point). Equal
-// positions on equal-seeded sources imply identical future draws.
-func (s *Source) Pos() uint64 { return s.cs.n }
+// consumed since creation (or the last SeekTo). Equal positions on
+// equal-seeded sources imply identical future draws.
+func (s *Source) Pos() uint64 { return s.ctr.n }
 
-// SeekTo moves the source to an earlier or later position, as previously
-// observed via Pos. Rewinding replays the generator from the seed, so its
-// cost is proportional to the target position; it is meant for cold error
-// paths (undoing the draws of a failed operation), not hot loops. The
-// embedded Rand is rebuilt so no buffered state from the abandoned draws
-// survives.
+// SeekTo moves the source to any position, earlier or later, as previously
+// observed via Pos, in constant time. The embedded Rand is reset so no
+// buffered state from the abandoned draws survives.
 func (s *Source) SeekTo(pos uint64) {
-	if pos < s.cs.n {
-		s.cs.src = rand.NewSource(s.seed).(rand.Source64)
-		s.cs.n = 0
+	s.ctr.n = pos
+	s.Rand = *rand.New(&s.ctr)
+}
+
+// Float64 returns a uniform draw in [0, 1), one base step. It returns
+// exactly what the embedded Rand's Float64 would, without the interface
+// call per step: planar-Laplace sampling spends three of these per record.
+func (s *Source) Float64() float64 {
+	for {
+		if f := float64(s.ctr.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
 	}
-	for s.cs.n < pos {
-		s.cs.src.Int63()
-		s.cs.n++
-	}
-	s.Rand = rand.New(s.cs)
 }
 
 // Split returns the i-th child stream of this source. Children with distinct
@@ -112,9 +128,12 @@ func MixUnit(seed, i int64) float64 {
 // mix combines a seed and a stream index into a well-dispersed child seed
 // using the SplitMix64 finalizer.
 func mix(seed, i int64) int64 {
-	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(i) + 0x9E3779B97F4A7C15
+	return int64(finalize(uint64(seed)*golden + uint64(i) + golden))
+}
+
+// finalize is SplitMix64's output function (Stafford's Mix13 variant).
+func finalize(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return z ^ (z >> 31)
 }

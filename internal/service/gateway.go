@@ -264,8 +264,7 @@ type shard struct {
 	// restore holds checkpoints of users not currently in the table —
 	// recovered from the journal at startup or parked by EvictUser. A
 	// user's first record after that rebuilds the stream from its entry
-	// (lppm.RestoreUserStream), paying the rng re-seek lazily, per
-	// returning user. Shard-goroutine-only after newGateway.
+	// (lppm.RestoreUserStream). Shard-goroutine-only after newGateway.
 	restore map[string]journal.Checkpoint
 
 	stageMu sync.Mutex

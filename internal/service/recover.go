@@ -7,6 +7,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/lppm"
 	"repro/internal/obs"
+	"repro/internal/rng"
 )
 
 // JournalConfig wires a stream journal into a gateway.
@@ -92,9 +93,18 @@ func Recover(ctx context.Context, cfg Config, jc JournalConfig) (*Gateway, *Reco
 			}
 		}
 	} else {
-		// Resumed: the journal is authoritative. A different seed would
-		// silently break every re-seeked stream, so reject rather than
-		// prefer either side.
+		// Resumed: the journal is authoritative. A different generator or
+		// seed would silently break every re-seeked stream, so reject
+		// rather than prefer either side.
+		if st.Generator != rng.Generator {
+			gen := st.Generator
+			if gen == "" {
+				gen = rng.LegacyGenerator
+			}
+			return nil, nil, closeOnErr(w, fmt.Errorf(
+				"service: journal %s was written with random generator %q but this build draws from %q, so its streams cannot resume (move the journal aside to start fresh)",
+				jc.Dir, gen, rng.Generator))
+		}
 		if cfg.Seed != st.Seed {
 			return nil, nil, closeOnErr(w, fmt.Errorf(
 				"service: journal %s was written under seed %d, config says %d",

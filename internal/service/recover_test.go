@@ -3,6 +3,10 @@ package service
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +15,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/journal"
 	"repro/internal/lppm"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -358,6 +363,58 @@ func TestRecoverSeedMismatch(t *testing.T) {
 	_, _, err := Recover(context.Background(), cfg, JournalConfig{Dir: "j", FS: fs})
 	if err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Fatalf("seed mismatch accepted: %v", err)
+	}
+}
+
+// TestRecoverRefusesOtherGenerator pins that a journal whose rng positions
+// count draws of another generator is refused at startup with both
+// generators named: the unstamped segment written before the stamp
+// existed, and a snapshot stamped with a foreign name.
+func TestRecoverRefusesOtherGenerator(t *testing.T) {
+	unstamped, err := os.ReadFile(filepath.Join("..", "journal", "testdata", "unstamped-wal-00000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, want string
+		seed       func(fs *faultfs.FS)
+	}{
+		{"unstamped", rng.LegacyGenerator, func(fs *faultfs.FS) { fs.WriteFile("j/wal-00000000.log", unstamped) }},
+		{"foreign", "xoshiro", func(fs *faultfs.FS) {
+			w, _, _, err := journal.Open("j", journal.Options{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := journal.NewState(cmSeed)
+			st.Generator = "xoshiro"
+			st.Deploy = journal.Deployment{Mechanism: "geoi", Params: map[string]float64{lppm.EpsilonParam: 0.8}}
+			if err := w.Install(st); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := faultfs.New()
+			tc.seed(fs)
+			before := fs.Files()
+			g, _, err := Recover(context.Background(), cmConfig(), JournalConfig{Dir: "j", FS: fs})
+			if err == nil {
+				g.Close()
+				t.Fatal("journal of another generator resumed")
+			}
+			for _, name := range []string{strconv.Quote(tc.want), strconv.Quote(rng.Generator)} {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("error %q does not name generator %s", err, name)
+				}
+			}
+			if after := fs.Files(); !reflect.DeepEqual(after, before) {
+				t.Errorf("refused journal was rewritten: segments %v, want %v", after, before)
+			}
+		})
 	}
 }
 

@@ -70,27 +70,58 @@ func TestBootstrapConstantSampleDegenerateCI(t *testing.T) {
 	}
 }
 
-func TestPairedBootstrapLinearRecoversLine(t *testing.T) {
-	r := rng.New(11)
-	n := 100
+// pairedBootstrapCoverage fits PairedBootstrapLinear at the given level to
+// `trials` independent samples of y = 2 + 3x + N(0, 0.1²) and returns the
+// fraction of intercept and slope intervals that contain the true values.
+func pairedBootstrapCoverage(t *testing.T, trials int, level float64) (icept, slope float64) {
+	t.Helper()
+	const n = 100
 	xs := make([]float64, n)
 	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i) / 10
-		ys[i] = 2 + 3*xs[i] + 0.1*r.NormFloat64()
+	root := rng.New(11)
+	var hitI, hitS int
+	for trial := 0; trial < trials; trial++ {
+		r := root.Split(int64(trial))
+		for i := range xs {
+			xs[i] = float64(i) / 10
+			ys[i] = 2 + 3*xs[i] + 0.1*r.NormFloat64()
+		}
+		ci, cs, err := PairedBootstrapLinear(r, xs, ys, 300, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.Width() > 0.2 {
+			t.Fatalf("trial %d: slope CI suspiciously wide: %v", trial, cs)
+		}
+		if ci.Contains(2) {
+			hitI++
+		}
+		if cs.Contains(3) {
+			hitS++
+		}
 	}
-	icept, slope, err := PairedBootstrapLinear(rng.New(12), xs, ys, 300, 0.95)
-	if err != nil {
-		t.Fatal(err)
+	return float64(hitI) / float64(trials), float64(hitS) / float64(trials)
+}
+
+// TestPairedBootstrapLinearRecoversLine checks what a 95% interval
+// promises: over 400 independent samples, about 95% of the intervals
+// contain the true line. The percentile bootstrap under-covers a little at
+// n = 100 (0.936 for both coefficients over 4,000 samples), and the rate's
+// standard deviation at 400 samples is 1.2 points, so [0.90, 0.98] holds a
+// sound interval three deviations from either edge. Intervals built at
+// level 0.5 must fall outside it, which shows the check can fail.
+func TestPairedBootstrapLinearRecoversLine(t *testing.T) {
+	const trials = 400
+	inBand := func(rate float64) bool { return rate >= 0.90 && rate <= 0.98 }
+	icept, slope := pairedBootstrapCoverage(t, trials, 0.95)
+	t.Logf("95%% coverage over %d samples: intercept %.4f, slope %.4f", trials, icept, slope)
+	if !inBand(icept) || !inBand(slope) {
+		t.Errorf("95%% interval coverage: intercept %.4f, slope %.4f, want both in [0.90, 0.98]", icept, slope)
 	}
-	if !icept.Contains(2) {
-		t.Errorf("intercept CI %v does not contain 2", icept)
-	}
-	if !slope.Contains(3) {
-		t.Errorf("slope CI %v does not contain 3", slope)
-	}
-	if slope.Width() > 0.2 {
-		t.Errorf("slope CI suspiciously wide: %v", slope)
+	icept, slope = pairedBootstrapCoverage(t, trials, 0.5)
+	t.Logf("50%% coverage over %d samples: intercept %.4f, slope %.4f", trials, icept, slope)
+	if inBand(icept) || inBand(slope) {
+		t.Errorf("50%% intervals pass the 95%% coverage check: intercept %.4f, slope %.4f", icept, slope)
 	}
 }
 

@@ -2,7 +2,7 @@
 // statistics, least-squares regression with goodness-of-fit, principal
 // component analysis, histograms and the probability distributions used by
 // LPPMs — most notably the planar Laplace distribution behind
-// Geo-Indistinguishability, sampled exactly via the Lambert W function.
+// Geo-Indistinguishability, whose Gamma(2) radius is sampled exactly.
 package stat
 
 import (

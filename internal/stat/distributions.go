@@ -19,18 +19,14 @@ func SampleLaplace1D(r *rng.Source, b float64) float64 {
 // SamplePlanarLaplace draws a noise vector (east, north) in meters from the
 // planar (polar) Laplace distribution with parameter epsilon in meters⁻¹,
 // the noise distribution of Geo-Indistinguishability (Andrés et al., CCS'13,
-// Algorithm "planar Laplacian"): the angle is uniform and the radius follows
-// the Gamma(2, 1/ε)-shaped density εr·e^(−εr), sampled exactly through the
-// Lambert W₋₁ inverse CDF.
+// Algorithm "planar Laplacian"): the angle is uniform and the radius has
+// density ε²r·e^(−εr), which is Gamma(2, 1/ε). The radius is drawn exactly
+// as the sum of two exponentials, −ln(U₁·U₂)/ε, with each Uᵢ = 1 − Float64()
+// in (0, 1] so the product never reaches 0: three uniforms and one log.
 func SamplePlanarLaplace(r *rng.Source, epsilon float64) (east, north float64) {
 	theta := r.Float64() * 2 * math.Pi
-	p := r.Float64()
-	radius, err := PlanarLaplaceRadiusQuantile(epsilon, p)
-	if err != nil {
-		// Unreachable for epsilon > 0 and p in [0,1); keep the draw
-		// well-defined anyway.
-		radius = 0
-	}
+	u1, u2 := 1-r.Float64(), 1-r.Float64()
+	radius := -math.Log(u1*u2) / epsilon
 	sin, cos := math.Sincos(theta)
 	return radius * cos, radius * sin
 }

@@ -2,6 +2,7 @@ package stat
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -26,22 +27,47 @@ func TestSampleLaplace1DMoments(t *testing.T) {
 	}
 }
 
+// planarLaplaceRadiusCDF returns C_ε(r) = 1 − (1+εr)·e^(−εr), the
+// probability that planar Laplace noise of parameter epsilon lands within
+// distance r of the true location: the oracle the sampler is held to.
+func planarLaplaceRadiusCDF(epsilon, r float64) float64 {
+	if r <= 0 {
+		return 0
+	}
+	er := epsilon * r
+	return 1 - (1+er)*math.Exp(-er)
+}
+
+func TestPlanarLaplaceCDFShape(t *testing.T) {
+	const epsilon = 0.01
+	if got := planarLaplaceRadiusCDF(epsilon, 0); got != 0 {
+		t.Errorf("CDF(0) = %v", got)
+	}
+	if got := planarLaplaceRadiusCDF(epsilon, -5); got != 0 {
+		t.Errorf("CDF(-5) = %v", got)
+	}
+	// CDF at the mean radius 2/ε is 1 − 3e⁻² ≈ 0.594.
+	if got := planarLaplaceRadiusCDF(epsilon, 200); !almostEq(got, 1-3*math.Exp(-2), 1e-12) {
+		t.Errorf("CDF(mean) = %v", got)
+	}
+	if got := planarLaplaceRadiusCDF(epsilon, 1e7); !almostEq(got, 1, 1e-9) {
+		t.Errorf("CDF(huge) = %v, want ~1", got)
+	}
+}
+
 func TestSamplePlanarLaplaceRadiusDistribution(t *testing.T) {
 	r := rng.New(13)
 	const n = 100000
 	const epsilon = 0.01
 	var sumR float64
 	within := 0
-	// Radius such that CDF = 0.5.
-	r50, err := PlanarLaplaceRadiusQuantile(epsilon, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
+	radii := make([]float64, n)
+	for i := range radii {
 		e, nn := SamplePlanarLaplace(r, epsilon)
 		radius := math.Hypot(e, nn)
+		radii[i] = radius
 		sumR += radius
-		if radius <= r50 {
+		if radius <= 200 {
 			within++
 		}
 	}
@@ -49,8 +75,48 @@ func TestSamplePlanarLaplaceRadiusDistribution(t *testing.T) {
 	if mean := sumR / n; math.Abs(mean-200) > 3 {
 		t.Errorf("mean radius = %v, want ~200", mean)
 	}
-	if frac := float64(within) / n; math.Abs(frac-0.5) > 0.01 {
-		t.Errorf("fraction within median radius = %v, want ~0.5", frac)
+	want := planarLaplaceRadiusCDF(epsilon, 200)
+	if frac := float64(within) / n; math.Abs(frac-want) > 0.01 {
+		t.Errorf("fraction within the mean radius = %v, want ~%v", frac, want)
+	}
+	// The share of radii inside each decile radius of the inverse CDF is
+	// binomial with mean p; allow five standard deviations.
+	sort.Float64s(radii)
+	for p := 0.1; p < 0.95; p += 0.1 {
+		q, err := planarLaplaceRadiusQuantile(epsilon, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frac := float64(sort.SearchFloat64s(radii, q)) / n
+		if tol := 5 * math.Sqrt(p*(1-p)/n); math.Abs(frac-p) > tol {
+			t.Errorf("share inside the %.1f quantile radius %.2f m = %.5f, want %.1f ± %.5f", p, q, frac, p, tol)
+		}
+	}
+}
+
+// TestSamplePlanarLaplaceRadiusKS holds the sampled radius to the planar
+// Laplace CDF with a Kolmogorov–Smirnov test across the GEO-I sweep range.
+// At n = 200,000 the 1% critical value of D is 1.628/√n ≈ 0.00364.
+func TestSamplePlanarLaplaceRadiusKS(t *testing.T) {
+	const n = 200000
+	crit := 1.628 / math.Sqrt(n)
+	radii := make([]float64, n)
+	for i, epsilon := range []float64{1e-4, 1e-2, 1} {
+		r := rng.New(int64(41 + i))
+		for j := range radii {
+			e, nn := SamplePlanarLaplace(r, epsilon)
+			radii[j] = math.Hypot(e, nn)
+		}
+		sort.Float64s(radii)
+		var d float64
+		for j, x := range radii {
+			f := planarLaplaceRadiusCDF(epsilon, x)
+			d = math.Max(d, math.Max(float64(j+1)/n-f, f-float64(j)/n))
+		}
+		t.Logf("ε = %g: D = %.5f (1%% critical value %.5f)", epsilon, d, crit)
+		if d >= crit {
+			t.Errorf("ε = %g: KS statistic D = %.5f ≥ %.5f", epsilon, d, crit)
+		}
 	}
 }
 
