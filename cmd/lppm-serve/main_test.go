@@ -536,12 +536,12 @@ func TestServeListenJournalDrainOrdering(t *testing.T) {
 	if health.Recovery == nil || !health.Recovery.Resumed || health.Recovery.Users != 1 {
 		t.Errorf("healthz recovery after restart: %+v, want resumed with 1 user", health.Recovery)
 	}
-	res, err := cl2.Resume(context.Background(), "net-user")
+	res, err := cl2.Resume(context.Background(), "net-user", 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Known || res.In != 6 {
-		t.Errorf("resume after restart: %+v, want known in=6", res)
+	if !res.Known || res.Rewound || res.From != 6 {
+		t.Errorf("resume after restart: %+v, want known from=6 without a rewind", res)
 	}
 	waitExit(cancel2, done2)
 }

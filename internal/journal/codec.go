@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -33,16 +34,30 @@ const (
 
 // Record kinds.
 const (
-	// kindUnstampedSnapshot is the snapshot layout from before snapshots
-	// named their random generator. It is never written; it decodes as a
-	// kindSnapshot whose State.Generator is empty, so recovery can refuse
-	// the journal by name instead of skipping it as a torn rotation head.
+	// kindUnstampedSnapshot, kindWindowCheckpoint and kindWindowSnapshot
+	// are the layouts from before checkpoints dropped their protected
+	// window: checkpoints carried the window, snapshots a per-user ring of
+	// protected windows, and the oldest snapshots no generator name. They
+	// are never written. They decode with the windows dropped, and a
+	// legacy snapshot's State has Format FormatWindows, so recovery
+	// refuses the journal by name instead of skipping it as a torn
+	// rotation head.
 	kindUnstampedSnapshot byte = 1
 	kindDeploy            byte = 2
-	kindCheckpoint        byte = 3
-	// kindSnapshot is State.Generator followed by the unstamped layout.
-	kindSnapshot byte = 4
+	kindWindowCheckpoint  byte = 3
+	kindWindowSnapshot    byte = 4
+	// kindCheckpoint is a checkpoint without its window; kindSnapshot is
+	// State.Generator, the seed, the deployment and each user's head
+	// checkpoint followed by their ring of window checkpoints.
+	kindCheckpoint byte = 5
+	kindSnapshot   byte = 6
 )
+
+// FormatWindows names the journal layout whose checkpoints carried their
+// protected window (State.Format). A build that regenerates the delivery
+// gap cannot resume such a journal: its rings hold output, not restart
+// points.
+const FormatWindows = "protected-window checkpoints"
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -57,50 +72,80 @@ type Deployment struct {
 
 // Checkpoint is one user's stream state at a window boundary (or at
 // eviction): everything needed to rebuild the stream bit-identically.
-// Window carries the protected records the checkpointed flush produced —
-// journaled as the window is emitted, it is what reconnect replay serves
-// when a crash outruns delivery.
 type Checkpoint struct {
 	User string
 	// Generation is the deployment generation the stream last refreshed
-	// to. Informative: recovery rebuilds streams against the journaled
-	// deployment, exactly as the next flush would have.
+	// to — for a window checkpoint, the one its window was protected
+	// under. Recovery rebuilds streams against the journaled deployment,
+	// exactly as the next flush would have.
 	Generation uint64
 	// RNGPos is the per-user random source's draw position (rng.Pos).
 	RNGPos uint64
 	// In counts input records consumed (pushed) so far.
 	In uint64
-	// Out counts protected records emitted so far, Window included.
+	// Out counts protected records emitted so far.
 	Out uint64
-	// Windows counts windows flushed so far, this one included.
+	// Windows counts windows flushed so far.
 	Windows uint64
 	// Pending is the buffered, not-yet-protected window content —
 	// non-empty only for eviction checkpoints taken between boundaries.
 	Pending []trace.Record
-	// Window is the protected output of the flush this checkpoint
-	// records; empty for eviction checkpoints.
-	Window []trace.Record
-}
-
-// RetainedWindow is one journaled protected window kept in the folded
-// state for reconnect replay: Recs are the protected records whose
-// absolute per-user output indexes start at Start.
-type RetainedWindow struct {
-	Start uint64
-	Recs  []trace.Record
 }
 
 // UserState is one user's folded journal state: the latest checkpoint
-// plus the retained window ring.
+// plus the ring of window checkpoints a delivery gap rewinds to.
 type UserState struct {
 	Checkpoint
-	Retained []RetainedWindow
+	// Ring holds the user's last retainWindows window checkpoints (empty
+	// Pending), oldest first: the boundaries Rewind restarts a stream
+	// from.
+	Ring []Checkpoint
 	// DurableIn is the In counter as of the last fsync covering one of
 	// this user's checkpoints — how far a resuming client may safely trim
 	// its send buffer. Not serialized: it is a property of the writer's
 	// sync progress, filled in by Writer.UserResume (a fold read straight
 	// off disk is durable by definition, so there In == DurableIn).
 	DurableIn uint64
+}
+
+// ErrGapLost reports a delivery gap the journal cannot regenerate
+// bit-identically.
+var ErrGapLost = errors.New("journal: delivery gap cannot be regenerated")
+
+// Rewind decides how a client that has received delivered of this user's
+// protected records resumes against a server serving generation gen. When
+// the head checkpoint's output is all delivered, nothing rewinds: the
+// client resends from the head's In and skips delivered − Out regenerated
+// records, the tail a crash lost. Otherwise k is the newest boundary with
+// Out ≤ delivered — a ring entry, or the stream's origin while the ring
+// still reaches back to the first window — and the stream must restart
+// there: the client resends from k.In and skips delivered − k.Out.
+// ErrGapLost means no boundary reaches back to delivered, or a window
+// after k was protected under a generation other than gen, so
+// regenerating it would not reproduce the bytes the client missed.
+func (u *UserState) Rewind(delivered, gen uint64) (k Checkpoint, rewind bool, err error) {
+	if u.Out <= delivered {
+		return u.Checkpoint, false, nil
+	}
+	i := len(u.Ring)
+	for i > 0 && u.Ring[i-1].Out > delivered {
+		i--
+	}
+	switch {
+	case i > 0:
+		k = u.Ring[i-1]
+	case len(u.Ring) > 0 && u.Ring[0].Windows <= 1:
+		k = Checkpoint{User: u.User}
+	default:
+		return k, false, fmt.Errorf("%w: the ring of %q no longer reaches back to output %d", ErrGapLost, u.User, delivered)
+	}
+	for _, w := range u.Ring[i:] {
+		if w.Windows > k.Windows && w.Generation != gen {
+			return k, false, fmt.Errorf("%w: window %d of %q was protected under generation %d, serving %d",
+				ErrGapLost, w.Windows, u.User, w.Generation, gen)
+		}
+	}
+	return k, true, nil
 }
 
 // State is the journal's folded content: the serving deployment and every
@@ -111,6 +156,9 @@ type UserState struct {
 // value (asserted in tests).
 type State struct {
 	Seed int64
+	// Format is empty for the layout this build writes and FormatWindows
+	// for a state folded from the older one.
+	Format string
 	// Generator names the random generator whose draws the checkpointed
 	// RNGPos values count; empty for a journal written before snapshots
 	// carried it.
@@ -127,7 +175,7 @@ func NewState(seed int64) *State {
 
 // Clone deep-copies the state.
 func (s *State) Clone() *State {
-	c := &State{Seed: s.Seed, Generator: s.Generator, Deploy: cloneDeployment(s.Deploy), Users: make(map[string]*UserState, len(s.Users))}
+	c := &State{Seed: s.Seed, Format: s.Format, Generator: s.Generator, Deploy: cloneDeployment(s.Deploy), Users: make(map[string]*UserState, len(s.Users))}
 	for u, us := range s.Users {
 		c.Users[u] = us.clone()
 	}
@@ -135,16 +183,19 @@ func (s *State) Clone() *State {
 }
 
 func (u *UserState) clone() *UserState {
-	c := &UserState{Checkpoint: u.Checkpoint}
-	c.Pending = append([]trace.Record(nil), u.Pending...)
-	c.Window = append([]trace.Record(nil), u.Window...)
-	if len(u.Retained) > 0 {
-		c.Retained = make([]RetainedWindow, len(u.Retained))
-		for i, rw := range u.Retained {
-			c.Retained[i] = RetainedWindow{Start: rw.Start, Recs: append([]trace.Record(nil), rw.Recs...)}
+	c := &UserState{Checkpoint: u.Checkpoint.clone()}
+	if len(u.Ring) > 0 {
+		c.Ring = make([]Checkpoint, len(u.Ring))
+		for i, k := range u.Ring {
+			c.Ring[i] = k.clone()
 		}
 	}
 	return c
+}
+
+func (cp Checkpoint) clone() Checkpoint {
+	cp.Pending = append([]trace.Record(nil), cp.Pending...)
+	return cp
 }
 
 func cloneDeployment(d Deployment) Deployment {
@@ -168,23 +219,29 @@ func cloneDeployment(d Deployment) Deployment {
 	return c
 }
 
-// applyCheckpoint folds one checkpoint into the state, retaining at most
-// retainWindows windows per user for replay.
+// applyCheckpoint folds one checkpoint into the state. A window
+// checkpoint (empty Pending) joins the user's ring, which keeps the last
+// retainWindows of them. A checkpoint that does not advance past the
+// newest ring entry — a rewind — first drops the entries it supersedes,
+// so the ring never holds a boundary ahead of the stream.
 func (s *State) applyCheckpoint(cp Checkpoint) {
 	us := s.Users[cp.User]
 	if us == nil {
 		us = &UserState{}
 		s.Users[cp.User] = us
 	}
-	win := cp.Window
-	start := cp.Out - uint64(len(win))
 	us.Checkpoint = cp
-	us.Window = nil // the window lives in the retained ring, not the head
-	if len(win) > 0 {
-		us.Retained = append(us.Retained, RetainedWindow{Start: start, Recs: win})
-		if len(us.Retained) > retainWindows {
-			us.Retained = us.Retained[len(us.Retained)-retainWindows:]
+	boundary := len(cp.Pending) == 0
+	i := len(us.Ring)
+	for i > 0 && (us.Ring[i-1].Windows > cp.Windows || boundary && us.Ring[i-1].Windows == cp.Windows) {
+		i--
+	}
+	us.Ring = us.Ring[:i]
+	if boundary {
+		if len(us.Ring) == retainWindows {
+			us.Ring = append(us.Ring[:0], us.Ring[1:]...)
 		}
+		us.Ring = append(us.Ring, cp)
 	}
 }
 
@@ -202,6 +259,9 @@ type entry struct {
 // apply folds one entry into the state, returning the (possibly replaced)
 // state — a snapshot resets it wholesale.
 func (s *State) apply(e entry) *State {
+	if s == nil && e.kind != kindSnapshot {
+		return nil // nothing to fold onto before the first snapshot
+	}
 	switch e.kind {
 	case kindSnapshot:
 		return e.snap
@@ -275,7 +335,6 @@ func (e *encoder) checkpoint(cp Checkpoint) {
 	e.u64(cp.Out)
 	e.u64(cp.Windows)
 	e.records(cp.Pending)
-	e.records(cp.Window)
 }
 
 func (e *encoder) snapshot(s *State) {
@@ -291,10 +350,9 @@ func (e *encoder) snapshot(s *State) {
 	for _, u := range users {
 		us := s.Users[u]
 		e.checkpoint(us.Checkpoint)
-		e.u32(uint32(len(us.Retained)))
-		for _, rw := range us.Retained {
-			e.u64(rw.Start)
-			e.records(rw.Recs)
+		e.u32(uint32(len(us.Ring)))
+		for _, k := range us.Ring {
+			e.checkpoint(k)
 		}
 	}
 }
@@ -470,8 +528,10 @@ func (c *cursor) deployment() Deployment {
 	return d
 }
 
-func (c *cursor) checkpoint() Checkpoint {
-	return Checkpoint{
+// checkpoint decodes one checkpoint; legacy layouts follow it with the
+// protected window, which is read and dropped.
+func (c *cursor) checkpoint(legacy bool) Checkpoint {
+	cp := Checkpoint{
 		User:       c.str("checkpoint user"),
 		Generation: c.u64("checkpoint generation"),
 		RNGPos:     c.u64("checkpoint rng position"),
@@ -479,28 +539,42 @@ func (c *cursor) checkpoint() Checkpoint {
 		Out:        c.u64("checkpoint out"),
 		Windows:    c.u64("checkpoint windows"),
 		Pending:    c.records("checkpoint pending"),
-		Window:     c.records("checkpoint window"),
 	}
+	if legacy {
+		c.records("checkpoint window")
+	}
+	return cp
 }
 
-// snapshot decodes a snapshot payload; stamped says whether it starts with
-// the generator name (kindSnapshot) or predates it (kindUnstampedSnapshot).
-func (c *cursor) snapshot(stamped bool) *State {
+// snapshot decodes a snapshot payload of the given kind: kindSnapshot, or
+// one of the legacy layouts, whose retained windows are read and dropped.
+// Only kindUnstampedSnapshot lacks the generator name.
+func (c *cursor) snapshot(kind byte) *State {
 	var gen string
-	if stamped {
+	if kind != kindUnstampedSnapshot {
 		gen = c.str("snapshot generator")
 	}
+	legacy := kind != kindSnapshot
 	s := NewState(c.i64("snapshot seed"))
 	s.Generator = gen
+	if legacy {
+		s.Format = FormatWindows
+	}
 	s.Deploy = c.deployment()
 	n := c.count(48, "snapshot users")
 	for i := 0; i < n; i++ {
-		us := &UserState{Checkpoint: c.checkpoint()}
-		nr := c.count(12, "snapshot retained")
-		for j := 0; j < nr; j++ {
-			rw := RetainedWindow{Start: c.u64("retained start")}
-			rw.Recs = c.records("retained records")
-			us.Retained = append(us.Retained, rw)
+		us := &UserState{Checkpoint: c.checkpoint(legacy)}
+		if legacy {
+			nr := c.count(12, "snapshot retained")
+			for j := 0; j < nr; j++ {
+				c.u64("retained start")
+				c.records("retained records")
+			}
+		} else {
+			nr := c.count(48, "snapshot ring")
+			for j := 0; j < nr; j++ {
+				us.Ring = append(us.Ring, c.checkpoint(false))
+			}
 		}
 		if c.err != nil {
 			return nil
@@ -515,13 +589,14 @@ func decodeEntry(payload []byte) (entry, error) {
 	c := &cursor{b: payload}
 	e := entry{kind: c.u8("kind")}
 	switch e.kind {
-	case kindSnapshot, kindUnstampedSnapshot:
-		e.snap = c.snapshot(e.kind == kindSnapshot)
+	case kindSnapshot, kindWindowSnapshot, kindUnstampedSnapshot:
+		e.snap = c.snapshot(e.kind)
 		e.kind = kindSnapshot
 	case kindDeploy:
 		e.dep = c.deployment()
-	case kindCheckpoint:
-		e.cp = c.checkpoint()
+	case kindCheckpoint, kindWindowCheckpoint:
+		e.cp = c.checkpoint(e.kind == kindWindowCheckpoint)
+		e.kind = kindCheckpoint
 	default:
 		if c.err == nil {
 			c.err = fmt.Errorf("journal: unknown record kind %d", e.kind)

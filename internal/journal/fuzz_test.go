@@ -25,10 +25,10 @@ func fuzzSeedState() *State {
 		Params:     map[string]float64{"epsilon": 1.5},
 		Overrides:  map[string]map[string]float64{"u2": {"epsilon": 0.7}},
 	}
+	st.applyCheckpoint(Checkpoint{User: "u1", Generation: 3, RNGPos: 17, In: 8, Out: 8, Windows: 2})
 	st.applyCheckpoint(Checkpoint{
-		User: "u1", Generation: 3, RNGPos: 17, In: 8, Out: 8, Windows: 2,
+		User: "u1", Generation: 3, RNGPos: 17, In: 9, Out: 8, Windows: 2,
 		Pending: []trace.Record{rec("u1", 123456789, 48.85, 2.35)},
-		Window:  []trace.Record{rec("u1", 123456790, 48.86, 2.36), rec("u1", 123456791, 48.87, 2.37)},
 	})
 	return st
 }
@@ -39,8 +39,8 @@ func fuzzSeedSegment() []byte {
 	st := fuzzSeedState()
 	b := appendEntryFrame(nil, entry{kind: kindSnapshot, snap: st})
 	b = appendEntryFrame(b, entry{kind: kindCheckpoint, cp: Checkpoint{
-		User: "u3", RNGPos: 5, In: 4, Out: 4, Windows: 1,
-		Window: []trace.Record{{User: "u3", Time: time.Unix(0, 9).UTC(), Point: geo.Point{Lat: 1, Lng: 2}}},
+		User: "u3", RNGPos: 5, In: 5, Out: 4, Windows: 1,
+		Pending: []trace.Record{{User: "u3", Time: time.Unix(0, 9).UTC(), Point: geo.Point{Lat: 1, Lng: 2}}},
 	}})
 	b = appendEntryFrame(b, entry{kind: kindDeploy, dep: Deployment{Generation: 4, Mechanism: "rounding"}})
 	return b
@@ -153,14 +153,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	if u1 == nil {
 		t.Fatalf("user u1 lost")
 	}
-	if u1.RNGPos != 17 || u1.In != 8 || u1.Out != 8 || u1.Windows != 2 {
+	if u1.RNGPos != 17 || u1.In != 9 || u1.Out != 8 || u1.Windows != 2 {
 		t.Errorf("counters lost: %+v", u1.Checkpoint)
 	}
 	if len(u1.Pending) != 1 || u1.Pending[0].Time.UnixNano() != 123456789 {
 		t.Errorf("pending lost sub-second precision: %+v", u1.Pending)
 	}
-	if len(u1.Retained) != 1 || u1.Retained[0].Start != 6 || len(u1.Retained[0].Recs) != 2 {
-		t.Errorf("retained ring: %+v", u1.Retained)
+	if len(u1.Ring) != 1 || u1.Ring[0].Out != 8 || u1.Ring[0].Windows != 2 || u1.Ring[0].Pending != nil {
+		t.Errorf("checkpoint ring: %+v", u1.Ring)
 	}
 	if entries[2].dep.Generation != 4 || entries[2].dep.Mechanism != "rounding" {
 		t.Errorf("deploy entry: %+v", entries[2].dep)
@@ -179,7 +179,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 
 // TestRegenFuzzCorpus writes the committed seed corpus for FuzzDecode —
 // the torn-tail, bit-flipped-CRC and oversized-frame cases named in the
-// package contract — so `go test -run Fuzz` exercises them even without
+// package contract, and a record with no snapshot to fold onto — so `go test -run Fuzz` exercises them even without
 // -fuzz. Gated behind an env var: it regenerates testdata, it does not
 // test. Run with JOURNAL_REGEN_CORPUS=1 after changing the format.
 func TestRegenFuzzCorpus(t *testing.T) {
@@ -202,14 +202,20 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	windows, err := os.ReadFile(filepath.Join("testdata", "windows-wal-00000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	corpus := map[string][]byte{
 		"valid_segment":     seg,
 		"unstamped_segment": unstamped,
+		"windows_segment":   windows,
 		"truncated_tail":    seg[:len(seg)-7],
 		"torn_header":       seg[:frameHeader-3],
 		"flipped_crc":       flip,
 		"oversized_frame":   over,
 		"lying_count":       appendFrame(nil, lie),
+		"headless_deploy":   appendEntryFrame(nil, entry{kind: kindDeploy, dep: Deployment{Generation: 4, Mechanism: "rounding"}}),
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -1,11 +1,11 @@
 // Package journal is a crash-safe append-only log for the serving
 // gateway's per-user stream state. It checkpoints each user at window
-// boundaries (rng draw position, window counters, pending buffer, the
-// protected window just produced) and the deployment at swap time, into
-// length-prefixed CRC-32C-framed segments. Every segment begins with a
-// full snapshot of the folded state, so recovery cost is bounded by the
-// live user set, not by history: opening the journal folds the newest
-// decodable snapshot-headed segment plus its tail of incremental records.
+// boundaries (rng draw position, window counters, pending buffer) and the
+// deployment at swap time, into length-prefixed CRC-32C-framed segments.
+// Every segment begins with a full snapshot of the folded state, so
+// recovery cost is bounded by the live user set, not by history: opening
+// the journal folds the newest decodable snapshot-headed segment plus its
+// tail of incremental records.
 //
 // Durability contract: the journal observes windows, it does not gate
 // them. The serving gateway emits a window first and hands its checkpoint
@@ -19,13 +19,17 @@
 // resuming client trims its send buffer only to that value, so a lost
 // tail is re-sent and re-protected bit-identically from the rng position
 // the last durable checkpoint holds. Torn tails — a crash mid-frame —
-// truncate to the last valid record; the retained-window ring in the
-// folded state lets the server re-serve the small emit-vs-delivery gap
-// on reconnect (see /v1/replay in internal/server).
+// truncate to the last valid record.
+//
+// The journal stores positions, never protected output. The other gap —
+// windows emitted but never delivered — closes the same way: the folded
+// state keeps each user's last window checkpoints as rewind boundaries,
+// and UserState.Rewind picks the one a reconnecting client restarts from
+// (see /v1/resume in internal/server).
 //
 // Two bounds are fixed: a segment rotates to a fresh snapshot-headed one
 // after compactEvery (4096) appends, and the ring keeps retainWindows (8)
-// windows per user.
+// window checkpoints per user.
 package journal
 
 import (
@@ -33,8 +37,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-
-	"repro/internal/trace"
 )
 
 const (
@@ -44,7 +46,8 @@ const (
 	// compactEvery is how many appends a segment takes before the writer
 	// rotates to a fresh snapshot-headed segment.
 	compactEvery = 4096
-	// retainWindows bounds the per-user replay ring in the folded state.
+	// retainWindows bounds the per-user ring of window checkpoints in the
+	// folded state.
 	retainWindows = 8
 )
 
@@ -327,7 +330,7 @@ func (b *Batch) AddDeploy(d Deployment) {
 }
 
 // Reset empties the batch for reuse, keeping its capacity but dropping
-// its records, so their windows do not stay reachable from it.
+// its records, so their pending buffers do not stay reachable from it.
 func (b *Batch) Reset() {
 	clear(b.entries)
 	b.entries = b.entries[:0]
@@ -438,9 +441,9 @@ func (w *Writer) State() *State {
 	return w.state.Clone()
 }
 
-// UserResume returns the replay-relevant counters and retained windows
-// for one user, or nil if the journal has no checkpoint for them. Used
-// by the server's /v1/resume and /v1/replay endpoints.
+// UserResume returns one user's folded state — head checkpoint, ring of
+// window checkpoints and durable progress — or nil if the journal has no
+// checkpoint for them. Used by the server's /v1/resume endpoint.
 func (w *Writer) UserResume(user string) *UserState {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -509,32 +512,4 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("journal: close: %w", err)
 	}
 	return nil
-}
-
-// ReplayFrom collects the retained protected records for user with
-// absolute output index >= from, in order. It reports ok=false when the
-// requested index predates the retained ring (the gap is unrecoverable
-// from the journal; the client must treat its local history as
-// authoritative up to the ring's start).
-func (u *UserState) ReplayFrom(from uint64) (recs []trace.Record, ok bool) {
-	if from >= u.Out {
-		return nil, true
-	}
-	lo := u.Out
-	for _, rw := range u.Retained {
-		if rw.Start < lo {
-			lo = rw.Start
-		}
-	}
-	if from < lo {
-		return nil, false
-	}
-	for _, rw := range u.Retained {
-		for i, r := range rw.Recs {
-			if rw.Start+uint64(i) >= from {
-				recs = append(recs, r)
-			}
-		}
-	}
-	return recs, true
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/geo"
 	"repro/internal/journal"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -21,12 +22,9 @@ func rec(u string, ns int64, lat, lng float64) trace.Record {
 	return trace.Record{User: u, Time: time.Unix(0, ns).UTC(), Point: geo.Point{Lat: lat, Lng: lng}}
 }
 
+// cp is user u's window checkpoint after `windows` two-record windows.
 func cp(u string, windows uint64) journal.Checkpoint {
-	n := int64(windows)
-	return journal.Checkpoint{
-		User: u, RNGPos: windows * 3, In: windows * 2, Out: windows * 2, Windows: windows,
-		Window: []trace.Record{rec(u, n*100+1, 1, 2), rec(u, n*100+2, 3, 4)},
-	}
+	return journal.Checkpoint{User: u, RNGPos: windows * 3, In: windows * 2, Out: windows * 2, Windows: windows}
 }
 
 // commitCP journals one checkpoint as a group of one.
@@ -323,9 +321,10 @@ func TestSyncDropCrashLosesTail(t *testing.T) {
 	}
 }
 
-// TestReplayFrom pins the reconnect-replay index math over the retained
-// window ring: 10 windows against its 8-window bound.
-func TestReplayFrom(t *testing.T) {
+// TestRingRewind pins the rewind decision over the ring of window
+// checkpoints — 10 windows against its 8-entry bound — and the fold of a
+// rewind checkpoint, which drops the boundaries it supersedes.
+func TestRingRewind(t *testing.T) {
 	fs := faultfs.New()
 	w := openFresh(t, fs, "j", journal.Options{})
 	for i := uint64(1); i <= 10; i++ {
@@ -337,25 +336,89 @@ func TestReplayFrom(t *testing.T) {
 	if u == nil {
 		t.Fatalf("no resume state")
 	}
-	// 10 windows x 2 records: out=20; ring retains windows 3..10 →
-	// indexes 4..19.
-	if len(u.Retained) != 8 {
-		t.Fatalf("ring holds %d windows, want 8", len(u.Retained))
+	// 10 windows x 2 records: out=20; the ring keeps windows 3..10,
+	// whose Out runs 6..20.
+	if len(u.Ring) != 8 || u.Ring[0].Windows != 3 {
+		t.Fatalf("ring %+v, want windows 3..10", u.Ring)
 	}
-	if recs, ok := u.ReplayFrom(20); !ok || len(recs) != 0 {
-		t.Fatalf("replay at head: %v %v", recs, ok)
+	rewind := func(u *journal.UserState, delivered, gen uint64) (journal.Checkpoint, bool) {
+		t.Helper()
+		k, ok, err := u.Rewind(delivered, gen)
+		if err != nil {
+			t.Fatalf("rewind to %d: %v", delivered, err)
+		}
+		return k, ok
 	}
-	if recs, ok := u.ReplayFrom(5); !ok || len(recs) != 15 {
-		t.Fatalf("replay mid-ring: %d records, ok=%v (want 15)", len(recs), ok)
+	if k, ok := rewind(u, 20, 0); ok || k.In != 20 {
+		t.Fatalf("everything delivered: rewind=%v from %d, want none from 20", ok, k.In)
 	}
-	if recs, ok := u.ReplayFrom(4); !ok || len(recs) != 16 {
-		t.Fatalf("replay ring start: %d records, ok=%v (want 16)", len(recs), ok)
+	if k, ok := rewind(u, 23, 0); ok || k.Out != 20 {
+		t.Fatalf("a crash-lost tail: rewind=%v at out %d, want none (skip 3)", ok, k.Out)
 	}
-	if _, ok := u.ReplayFrom(3); ok {
-		t.Fatalf("replay before ring start must report unrecoverable")
+	if k, ok := rewind(u, 19, 0); !ok || k.Windows != 9 {
+		t.Fatalf("mid-ring: rewind=%v to window %d, want window 9", ok, k.Windows)
 	}
+	if k, ok := rewind(u, 6, 0); !ok || k.Windows != 3 || k.In != 6 || k.RNGPos != 9 {
+		t.Fatalf("ring start: rewind=%v to %+v, want window 3", ok, k)
+	}
+	if _, _, err := u.Rewind(5, 0); !errors.Is(err, journal.ErrGapLost) {
+		t.Fatalf("gap older than the ring: %v, want ErrGapLost", err)
+	}
+
+	// Folding the rewind checkpoint drops windows 4..10 from the ring.
+	k, _ := rewind(u, 7, 0)
+	if err := commitCP(w, k); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	u = w.UserResume("u")
+	if len(u.Ring) != 1 || !reflect.DeepEqual(u.Ring[0], k) || u.Out != 6 || u.DurableIn != 6 {
+		t.Fatalf("after the rewind: %+v, want head and ring at window 3", u)
+	}
+	// Windows regenerated under generation 1: a gap over them rewinds
+	// only while generation 1 serves.
+	for i := uint64(4); i <= 5; i++ {
+		c := cp("u", i)
+		c.Generation = 1
+		if err := commitCP(w, c); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	u = w.UserResume("u")
+	if _, ok := rewind(u, 6, 1); !ok {
+		t.Fatalf("same-generation gap did not rewind")
+	}
+	if _, _, err := u.Rewind(6, 2); !errors.Is(err, journal.ErrGapLost) {
+		t.Fatalf("gap across a generation change: %v, want ErrGapLost", err)
+	}
+
+	// A user still inside their first eight windows rewinds to the
+	// origin, and an eviction checkpoint keeps the ring.
+	for i := uint64(1); i <= 2; i++ {
+		if err := commitCP(w, cp("v", i)); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	ev := cp("v", 2)
+	ev.In = 5
+	ev.Pending = []trace.Record{rec("v", 5, 1, 2)}
+	if err := commitCP(w, ev); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	v := w.UserResume("v")
+	if len(v.Ring) != 2 {
+		t.Fatalf("eviction changed the ring: %+v", v.Ring)
+	}
+	if k, ok := rewind(v, 0, 0); !ok || !reflect.DeepEqual(k, journal.Checkpoint{User: "v"}) {
+		t.Fatalf("first-window gap: rewind=%v to %+v, want the origin", ok, k)
+	}
+
+	want := w.State()
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+	_, got, _ := reopen(t, fs, "j", journal.Options{})
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("refold mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -486,14 +549,17 @@ func TestCommitSyncsOncePerGroup(t *testing.T) {
 // segmentFormatSHA256 is the SHA-256 of the segment TestSegmentFormatPinned
 // writes. It pins the on-disk format: a change to framing, field order or
 // map ordering changes it, and an old journal would no longer fold. The
-// segment written before snapshots named their generator is kept as
-// testdata/unstamped-wal-00000000.log (TestUnstampedSnapshotDecodes).
-const segmentFormatSHA256 = "687dfdb78ba278795f9b079d5fcd91e5c2353b5e9e81f80fa04212b5e40ca28a"
+// segments written by the two earlier layouts are kept as testdata:
+// unstamped-wal-00000000.log from before snapshots named their generator
+// and windows-wal-00000000.log from before checkpoints dropped their
+// protected window (TestUnstampedSnapshotDecodes, TestWindowCheckpointsDecode).
+const segmentFormatSHA256 = "7bf93dfc5abe15c26ec3d22b8d1af001c599c92f73678cce9abfd7ca9503d86d"
 
 // TestSegmentFormatPinned writes a fixed Install + Commit sequence — a
-// snapshot whose deployment has overrides and whose user has a retained
-// window, checkpoints carrying Pending and Window, and a deploy record —
-// and compares the resulting segment's bytes against a pinned digest.
+// snapshot whose deployment has overrides and whose user has a ring
+// entry, window checkpoints, an eviction checkpoint carrying Pending, a
+// rewind checkpoint and a deploy record — and compares the resulting
+// segment's bytes against a pinned digest.
 func TestSegmentFormatPinned(t *testing.T) {
 	fs := faultfs.New()
 	w, _, _, err := journal.Open("j", journal.Options{FS: fs})
@@ -510,20 +576,13 @@ func TestSegmentFormatPinned(t *testing.T) {
 			"carol": {"epsilon": 0.005},
 		},
 	}
-	st.Users["alice"] = &journal.UserState{
-		Checkpoint: journal.Checkpoint{User: "alice", Generation: 2, RNGPos: 6, In: 2, Out: 2, Windows: 1},
-		Retained: []journal.RetainedWindow{
-			{Start: 0, Recs: []trace.Record{rec("alice", 1_000_000_001, 48.85, 2.35), rec("alice", 1_000_000_002, 48.86, 2.36)}},
-		},
-	}
+	alice1 := journal.Checkpoint{User: "alice", Generation: 2, RNGPos: 6, In: 2, Out: 2, Windows: 1}
+	st.Users["alice"] = &journal.UserState{Checkpoint: alice1, Ring: []journal.Checkpoint{alice1}}
 	if err := w.Install(st); err != nil {
 		t.Fatalf("Install: %v", err)
 	}
 	var b journal.Batch
-	b.AddCheckpoint(journal.Checkpoint{
-		User: "alice", Generation: 2, RNGPos: 12, In: 4, Out: 4, Windows: 2,
-		Window: []trace.Record{rec("alice", 1_000_000_003, 48.87, 2.37), rec("alice", 1_000_000_004, 48.88, 2.38)},
-	})
+	b.AddCheckpoint(journal.Checkpoint{User: "alice", Generation: 2, RNGPos: 12, In: 4, Out: 4, Windows: 2})
 	b.AddCheckpoint(journal.Checkpoint{
 		User: "bob", Generation: 2, RNGPos: 3, In: 3, Out: 2, Windows: 1,
 		Pending: []trace.Record{rec("bob", 2_000_000_003, -33.86, 151.2)},
@@ -538,10 +597,8 @@ func TestSegmentFormatPinned(t *testing.T) {
 		Params:     map[string]float64{"cell_m": 250},
 		Overrides:  map[string]map[string]float64{"bob": {"cell_m": 500}},
 	})
-	b.AddCheckpoint(journal.Checkpoint{
-		User: "bob", Generation: 3, RNGPos: 9, In: 4, Out: 4, Windows: 2,
-		Window: []trace.Record{rec("bob", 2_000_000_003, -33.87, 151.21), rec("bob", 2_000_000_004, -33.88, 151.22)},
-	})
+	b.AddCheckpoint(journal.Checkpoint{User: "bob", Generation: 3, RNGPos: 9, In: 4, Out: 4, Windows: 2})
+	b.AddCheckpoint(alice1)
 	if err := w.Commit(&b); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
@@ -567,7 +624,23 @@ func TestSegmentFormatPinned(t *testing.T) {
 // skipping it as a torn rotation head would drop every user's resume
 // state without a word.
 func TestUnstampedSnapshotDecodes(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "unstamped-wal-00000000.log"))
+	checkLegacySegment(t, "unstamped-wal-00000000.log", "")
+}
+
+// TestWindowCheckpointsDecode opens the segment TestSegmentFormatPinned
+// wrote while checkpoints still carried their protected window. It must
+// fold as a resumed state marked FormatWindows, which recovery refuses by
+// name, for the same reason.
+func TestWindowCheckpointsDecode(t *testing.T) {
+	checkLegacySegment(t, "windows-wal-00000000.log", rng.Generator)
+}
+
+// checkLegacySegment folds one committed legacy segment and checks what
+// recovery needs from it: the generator it names, FormatWindows, and the
+// counters of the pinned Install + Commit sequence.
+func checkLegacySegment(t *testing.T, file, generator string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,10 +652,10 @@ func TestUnstampedSnapshotDecodes(t *testing.T) {
 	}
 	defer w.Close()
 	if !info.Resumed || info.Corrupted || st == nil {
-		t.Fatalf("unstamped segment not folded: %+v", info)
+		t.Fatalf("%s not folded: %+v", file, info)
 	}
-	if st.Generator != "" {
-		t.Errorf("Generator = %q, want empty for an unstamped snapshot", st.Generator)
+	if st.Generator != generator || st.Format != journal.FormatWindows {
+		t.Errorf("generator %q format %q, want %q and %q", st.Generator, st.Format, generator, journal.FormatWindows)
 	}
 	if st.Seed != 11 || st.Deploy.Mechanism != "rounding" || st.Deploy.Generation != 3 {
 		t.Errorf("folded state: seed %d, deployment %+v", st.Seed, st.Deploy)

@@ -46,9 +46,6 @@ func NewPipeline(name string, stages ...Mechanism) (*Pipeline, error) {
 // Name implements Mechanism.
 func (p *Pipeline) Name() string { return p.name }
 
-// Stages returns the stage mechanisms in application order.
-func (p *Pipeline) Stages() []Mechanism { return append([]Mechanism(nil), p.stages...) }
-
 // Params implements Mechanism: the union of every stage's parameters under
 // namespaced names.
 func (p *Pipeline) Params() []ParamSpec {

@@ -98,9 +98,6 @@ func RestoreUserStream(m Mechanism, p Params, user string, r *rng.Source, pos ui
 	if err != nil {
 		return nil, err
 	}
-	if cur := r.Pos(); cur > pos {
-		return nil, fmt.Errorf("lppm: restore %s: source already at draw %d, past checkpoint %d", user, cur, pos)
-	}
 	r.SeekTo(pos)
 	for _, rec := range pending {
 		if err := s.Push(rec); err != nil {

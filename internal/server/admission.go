@@ -195,30 +195,39 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// healthResponse is GET /healthz's body. Recovery is present when the
-// process resumed from a journal: what service.Recover
-// reconstructed at startup.
+// healthResponse is GET /healthz's body. Error carries the journal's
+// failure while the status is degraded. Recovery is present when the
+// process resumed from a journal: what service.Recover reconstructed at
+// startup.
 type healthResponse struct {
 	Status   string                `json:"status"`
+	Error    string                `json:"error,omitempty"`
 	Recovery *service.RecoveryInfo `json:"recovery,omitempty"`
 }
 
-// resumeResponse is GET /v1/resume's body: the journal's progress for one
-// user. Known is false (with zero counters) when the journal has no
-// checkpoint for the user — a fresh user resumes from zero. In is the
-// live absorbed count (never re-send below it to a live server);
-// DurableIn is what has reached stable storage (never *trim* below it —
-// the write-behind tail between the two can be lost by a crash and must
-// then be refilled by resending). With the default per-append fsync the
-// two are equal.
-type resumeResponse struct {
-	User       string `json:"user"`
-	Known      bool   `json:"known"`
-	Generation uint64 `json:"generation"`
-	In         uint64 `json:"in"`
-	DurableIn  uint64 `json:"durable_in"`
-	Out        uint64 `json:"out"`
-	Windows    uint64 `json:"windows"`
+// ResumeRequest is POST /v1/resume's body: the user and how many of
+// their protected records the client has received.
+type ResumeRequest struct {
+	User      string `json:"user"`
+	Delivered uint64 `json:"delivered"`
+}
+
+// ResumeResponse is POST /v1/resume's answer for one user. Known is false
+// when the journal has no checkpoint for the user, who resumes from zero.
+// From is the input count to resend from: the boundary the server rewound
+// the stream to (Rewound), or the live absorbed count — a reconnecting
+// client must not resend below it, or the mechanism would draw fresh
+// randomness for records it already protected. DurableIn is what has
+// reached stable storage: the client must not trim its send buffer below
+// it, because a crash can roll the server back that far. Skip is how many
+// regenerated records the client drops because it already holds them.
+type ResumeResponse struct {
+	User      string `json:"user"`
+	Known     bool   `json:"known"`
+	Rewound   bool   `json:"rewound"`
+	From      uint64 `json:"from"`
+	DurableIn uint64 `json:"durable_in"`
+	Skip      uint64 `json:"skip"`
 }
 
 // reconfigureRequest is POST /v1/reconfigure's body: parameter values

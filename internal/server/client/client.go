@@ -51,10 +51,6 @@ type Client struct {
 // Option customizes a Client.
 type Option func(*Client)
 
-// WithHTTPClient substitutes the underlying http.Client (timeouts,
-// transports). The default client has no timeout: streams are long-lived.
-func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
-
 // WithTenant sets the X-Tenant header on every request — the identity the
 // server's token buckets meter.
 func WithTenant(tenant string) Option { return func(c *Client) { c.tenant = tenant } }
@@ -69,7 +65,7 @@ func WithObs(reg *obs.Registry) Option {
 			return
 		}
 		c.met = make(map[string]*opMetrics)
-		for _, op := range []string{"health", "stats", "deployment", "reconfigure", "protect", "stream", "resume", "replay"} {
+		for _, op := range []string{"health", "stats", "deployment", "reconfigure", "protect", "stream", "resume"} {
 			l := obs.Labels{"op": op}
 			c.met[op] = &opMetrics{
 				reqs: reg.Counter("lppm_client_requests_total", "client requests issued", l),
@@ -166,6 +162,28 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
+// postJSON performs a POST with a JSON body and decodes the JSON answer.
+func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
+	req, err := c.newRequest(ctx, http.MethodPost, path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return apiError(resp)
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
 // Health checks GET /healthz, returning nil while the server serves and an
 // *APIError once it drains.
 func (c *Client) Health(ctx context.Context) error {
@@ -203,33 +221,14 @@ func (c *Client) Deployment(ctx context.Context) (service.DeploymentInfo, error)
 func (c *Client) Reconfigure(ctx context.Context, params map[string]float64, overrides map[string]map[string]float64) (gen uint64, err error) {
 	done := c.track("reconfigure")
 	defer func() { done(err) }()
-	body, err := json.Marshal(struct {
-		Params    map[string]float64            `json:"params"`
-		Overrides map[string]map[string]float64 `json:"overrides,omitempty"`
-	}{params, overrides})
-	if err != nil {
-		return 0, err
-	}
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/reconfigure", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, apiError(resp)
-	}
-	defer resp.Body.Close()
 	var out struct {
 		Generation uint64 `json:"generation"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
-	}
-	return out.Generation, nil
+	err = c.postJSON(ctx, "/v1/reconfigure", struct {
+		Params    map[string]float64            `json:"params"`
+		Overrides map[string]map[string]float64 `json:"overrides,omitempty"`
+	}{params, overrides}, &out)
+	return out.Generation, err
 }
 
 // Protect runs a unary batch through POST /v1/protect and returns the

@@ -6,69 +6,26 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sync"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
-// ResumeInfo is GET /v1/resume's answer: the journal's progress counters
-// for one user. In is the record count the live server has absorbed — a
-// reconnecting client must not re-send below it, or the mechanism would
-// draw fresh randomness for records it already protected. DurableIn is
-// the count on stable storage: the buffer must not be trimmed below it,
-// because a crash can roll the server back that far. The two split only
-// while a checkpoint waits for the fsync that covers it; after a
-// crash-restart the fold equalizes them.
-type ResumeInfo struct {
-	User       string `json:"user"`
-	Known      bool   `json:"known"`
-	Generation uint64 `json:"generation"`
-	In         uint64 `json:"in"`
-	DurableIn  uint64 `json:"durable_in"`
-	Out        uint64 `json:"out"`
-	Windows    uint64 `json:"windows"`
-}
+// ResumeInfo is POST /v1/resume's answer for one user.
+type ResumeInfo = server.ResumeResponse
 
-// Resume fetches GET /v1/resume for one user. A server running without a
-// journal answers 404 (surfaced as *APIError): resume-by-counter is
-// exactly the capability the journal adds.
-func (c *Client) Resume(ctx context.Context, user string) (ResumeInfo, error) {
+// Resume asks POST /v1/resume where user's stream resumes, given the
+// number of the user's protected records the client holds. The server may
+// rewind the stream to do so. 410 (as *APIError) means the gap can no
+// longer be regenerated; a server running without a journal answers 404:
+// resume-by-counter is exactly the capability the journal adds.
+func (c *Client) Resume(ctx context.Context, user string, delivered uint64) (info ResumeInfo, err error) {
 	done := c.track("resume")
-	var info ResumeInfo
-	err := c.getJSON(ctx, "/v1/resume?user="+url.QueryEscape(user), &info)
-	done(err)
-	return info, err
-}
-
-// Replay fetches GET /v1/replay: the protected records for user with
-// absolute output index >= from, from the server's retained-window ring —
-// the delivery gap after a disconnect. 410 (as *APIError) means the ring
-// no longer reaches back to from.
-func (c *Client) Replay(ctx context.Context, user string, from uint64) (recs []trace.Record, err error) {
-	done := c.track("replay")
 	defer func() { done(err) }()
-	path := fmt.Sprintf("/v1/replay?user=%s&from=%d", url.QueryEscape(user), from)
-	req, err := c.newRequest(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	defer resp.Body.Close()
-	if err := trace.ScanRecords(resp.Body, trace.FormatJSONL, func(rec trace.Record) error {
-		recs = append(recs, rec)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return recs, nil
+	err = c.postJSON(ctx, "/v1/resume", server.ResumeRequest{User: user, Delivered: delivered}, &info)
+	return info, err
 }
 
 // Sleeper waits for d or until ctx is done, whichever comes first. Tests
@@ -128,21 +85,23 @@ func (b BackoffConfig) delay(n int) time.Duration {
 // ResumableStream is a duplex record stream that survives server restarts
 // and connection loss. It buffers every record it sends; when the
 // underlying stream dies it reconnects with capped exponential backoff and
-// resynchronizes against the server's stream journal:
+// resynchronizes against the server's stream journal. Every gap closes by
+// regeneration — re-protecting resent inputs from a checkpointed rng
+// position is deterministic — so one rule covers both ways a stream breaks:
 //
-//   - /v1/resume reports, per user, how many records the live server has
-//     absorbed (in_u) and how many are on stable storage (durable_in_u).
-//     The send buffer is trimmed to durable_in_u — a crash can roll the
-//     server back that far — and re-sent only from in_u, because
-//     re-sending a record the live server already absorbed would draw
-//     fresh randomness for it. Records the journal lost to a crash
-//     (delivered but above the durable counters) are re-protected
-//     deterministically from the checkpointed rng position, so the
-//     regenerated duplicates are bit-identical and skipped by exact count.
-//   - /v1/replay returns the protected records that were emitted (and
-//     journaled) but never delivered; they surface through Recv ahead of
-//     live windows, so the application sees every protected record exactly
-//     once, byte-identical to an uninterrupted run.
+//   - /v1/resume takes, per user, how many protected records Recv has
+//     returned (d). Windows the server emitted but the client never
+//     received make the server rewind the user's stream to its newest
+//     window checkpoint k with Out_k ≤ d; a crash that lost windows the
+//     client did receive leaves the server behind d instead.
+//   - Either way the answer names where to resend from (In_k, or the live
+//     absorbed count) and how many regenerated records to skip by exact
+//     count (d − Out_k). The skipped records are bit-identical to the ones
+//     already delivered, so the application sees every protected record
+//     exactly once, byte-identical to an uninterrupted run.
+//   - The send buffer is trimmed only to min(durable_in, resend-from):
+//     a crash can roll the server back to durable_in, and the resend
+//     starts at resend-from.
 //
 // Against a journal-less server (404 on /v1/resume) the helper degrades to
 // a count-dedupe fallback: it re-sends everything and drops the first
@@ -152,8 +111,9 @@ func (b BackoffConfig) delay(n int) time.Duration {
 //
 // One goroutine may call Send/CloseSend while another calls Recv; either
 // side may observe a failure first, and reconnection is serialized
-// internally. Send buffers grow with the journal's checkpoint lag (at most
-// one unflushed window per user once trimmed), not with stream length.
+// internally. Send buffers grow with the journal's checkpoint lag and the
+// undelivered windows (at most the ring's eight windows per user), not
+// with stream length.
 type ResumableStream struct {
 	c  *Client
 	bo BackoffConfig
@@ -164,9 +124,8 @@ type ResumableStream struct {
 	sent      map[string][]trace.Record
 	base      map[string]uint64 // absolute index of sent[u][0]
 	delivered map[string]uint64
-	skip      map[string]uint64 // count-dedupe fallback (journal-less)
+	skip      map[string]uint64 // regenerated records already delivered
 	order     []string          // users in first-send order
-	replayed  []trace.Record    // journal replay awaiting Recv
 	sendDone  bool
 	closed    bool
 	dead      error // terminal failure; all operations return it
@@ -227,23 +186,20 @@ func (r *ResumableStream) CloseSend(ctx context.Context) error {
 	return r.recover(ctx, gen)
 }
 
-// Recv returns the next protected record: journal-replayed gap records
-// first, then live windows. io.EOF after CloseSend once the tail has
-// arrived. A dead stream triggers reconnect with backoff; a stream ended
-// by a server drain reconnects the same way, riding out the restart.
+// Recv returns the next protected record. io.EOF after CloseSend once
+// the tail has arrived. A dead stream triggers reconnect with backoff; a
+// stream ended by a server drain reconnects the same way, riding out the
+// restart.
 func (r *ResumableStream) Recv(ctx context.Context) (trace.Record, error) {
 	for {
-		if rec, ok := r.popReplayed(); ok {
-			return rec, nil
-		}
 		st, gen, err := r.current()
 		if err != nil {
 			return trace.Record{}, err
 		}
 		rec, err := st.Recv()
 		if err == nil {
-			if !r.admit(rec.User) {
-				continue // count-skip: a re-protection of an already delivered record
+			if !r.admit(rec.User, gen) {
+				continue // count-skip, or a record of a superseded stream
 			}
 			return rec, nil
 		}
@@ -297,25 +253,17 @@ func (r *ResumableStream) buffer(rec trace.Record) (*Stream, uint64, error) {
 	return r.st, r.gen, nil
 }
 
-// popReplayed takes the next journal-replayed gap record, if any —
-// those are delivered ahead of live windows to preserve per-user order.
-func (r *ResumableStream) popReplayed() (trace.Record, bool) {
+// admit counts one record received on generation gen for user, reporting
+// false when the record must be dropped: a post-resync regeneration of
+// output already delivered (the pending skip shrinks by one), or a record
+// still buffered on a stream a resync has replaced, whose delivered count
+// the resync already settled.
+func (r *ResumableStream) admit(user string, gen uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.replayed) == 0 {
-		return trace.Record{}, false
+	if gen != r.gen {
+		return false
 	}
-	rec := r.replayed[0]
-	r.replayed = r.replayed[1:]
-	return rec, true
-}
-
-// admit counts one live record for user, reporting false when the
-// record is a post-resync re-protection of output already delivered —
-// the caller drops it and the pending skip shrinks by one.
-func (r *ResumableStream) admit(user string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.skip[user] > 0 {
 		r.skip[user]--
 		return false
@@ -366,7 +314,7 @@ func (r *ResumableStream) recover(ctx context.Context, gen uint64) error {
 		}
 		var apiErr *APIError
 		if errors.As(lastErr, &apiErr) && apiErr.Status == http.StatusGone {
-			break // the replay ring no longer covers our gap: unrecoverable
+			break // the journal can no longer regenerate our gap
 		}
 		if ctx.Err() != nil {
 			lastErr = ctx.Err()
@@ -377,15 +325,16 @@ func (r *ResumableStream) recover(ctx context.Context, gen uint64) error {
 	return r.dead
 }
 
-// resyncLocked runs one resume round: query the journal's durable
-// per-user counters, fetch the undelivered replay gap, dial a fresh
-// stream, re-send the unabsorbed tail of each user's buffer, and re-close
-// the sending half if CloseSend already happened. Called with mu held;
-// the HTTP round trips inside are bounded by the server answering or ctx.
+// resyncLocked runs one resume round: ask the journal where each user's
+// stream resumes given what Recv has delivered, trim and cut the send
+// buffers to match, dial a fresh stream, re-send each user's buffer from
+// the resume point, and re-close the sending half if CloseSend already
+// happened. Called with mu held; the HTTP round trips inside are bounded
+// by the server answering or ctx.
 func (r *ResumableStream) resyncLocked(ctx context.Context) error {
 	resend := make(map[string][]trace.Record, len(r.sent))
 	for _, u := range r.order {
-		info, err := r.c.Resume(ctx, u)
+		info, err := r.c.Resume(ctx, u, r.delivered[u])
 		if err != nil {
 			var apiErr *APIError
 			if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
@@ -396,52 +345,23 @@ func (r *ResumableStream) resyncLocked(ctx context.Context) error {
 			}
 			return err
 		}
-		// Trim the buffer only below the durable count: everything above
-		// DurableIn could be rolled back by a crash and must stay
-		// resendable. base tracks the absolute index of the buffer head so
-		// repeated trims compose.
-		if info.DurableIn > r.base[u] {
-			cut := info.DurableIn - r.base[u]
-			if cut > uint64(len(r.sent[u])) {
-				cut = uint64(len(r.sent[u]))
-			}
+		// Trim the buffer only below what a later resume can still ask
+		// for: a crash can roll the server back to DurableIn, and this
+		// resume resends from From. base tracks the absolute index of the
+		// buffer head so repeated trims compose.
+		if keep := min(info.DurableIn, info.From); keep > r.base[u] {
+			cut := min(keep-r.base[u], uint64(len(r.sent[u])))
 			r.sent[u] = r.sent[u][cut:]
 			r.base[u] += cut
 		}
-		// Re-send only from the live absorbed count: a server that kept
-		// running (plain disconnect) already protected [DurableIn, In) and
-		// must not see those records twice. After a crash In == DurableIn,
-		// so the whole retained buffer goes back out.
 		start := uint64(0)
-		if info.In > r.base[u] {
-			start = info.In - r.base[u]
-			if start > uint64(len(r.sent[u])) {
-				start = uint64(len(r.sent[u]))
-			}
+		if info.From > r.base[u] {
+			start = min(info.From-r.base[u], uint64(len(r.sent[u])))
 		}
 		resend[u] = r.sent[u][start:]
-		if info.Known && r.delivered[u] < info.Out {
-			gap, err := r.c.Replay(ctx, u, r.delivered[u])
-			if err != nil {
-				return err
-			}
-			r.replayed = append(r.replayed, gap...)
-			r.delivered[u] += uint64(len(gap))
-		}
-		// A write-behind journal can lose its unsynced
-		// tail in a crash, so the restarted server regenerates windows we
-		// already delivered. Re-protection from the checkpointed rng
-		// position is deterministic, so the regenerated records are
-		// bit-identical and skipping them by count is exact — unlike the
-		// journal-less fallback above, where the skipped output is merely
-		// positionally equivalent. Assign rather than accumulate: a skip
-		// pending from a previous resync counted duplicates on a stream
-		// that no longer exists.
-		if r.delivered[u] > info.Out {
-			r.skip[u] = r.delivered[u] - info.Out
-		} else {
-			r.skip[u] = 0
-		}
+		// Assign rather than accumulate: a skip pending from a previous
+		// resync counted duplicates on a stream that no longer exists.
+		r.skip[u] = info.Skip
 	}
 	st, err := r.c.Stream(ctx)
 	if err != nil {

@@ -8,7 +8,8 @@
 //	GET  /v1/stats        server + gateway (+ controller) counters
 //	GET  /v1/deployment   serving generation and parameter assignment
 //	POST /v1/reconfigure  manual hot-swap of the serving deployment
-//	GET  /healthz         liveness (503 while draining)
+//	POST /v1/resume       where a reconnecting stream resumes (journal only)
+//	GET  /healthz         liveness (503 while draining or journal failed)
 //
 // The wire format at both boundaries is the trace package's JSONL codec
 // (trace.ScanRecords / trace.RecordWriter): exactly the bytes the file path
@@ -39,12 +40,12 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/lppm"
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
@@ -254,8 +255,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("GET /v1/stats", s.instrument("stats", s.handleStats))
 	s.mux.Handle("GET /v1/deployment", s.instrument("deployment", s.handleDeployment))
 	s.mux.Handle("POST /v1/reconfigure", s.instrument("reconfigure", s.handleReconfigure))
-	s.mux.Handle("GET /v1/resume", s.instrument("resume", s.handleResume))
-	s.mux.Handle("GET /v1/replay", s.instrument("replay", s.handleReplay))
+	s.mux.Handle("POST /v1/resume", s.instrument("resume", s.handleResume))
 	s.mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	go s.dispatch()
 	return s, nil
@@ -881,30 +881,44 @@ func (s *Server) handleDeployment(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz serves GET /healthz: 200 while serving, 503 while draining
-// so load balancers stop routing before the drain completes. When the
-// process resumed from a journal, the body carries the
-// recovery report (users restored, generation, segments folded).
+// so load balancers stop routing before the drain completes, and 503
+// "degraded", with the error, once the journal has failed: the process
+// still protects, but nothing it emits becomes durable. When the process
+// resumed from a journal, the body carries the recovery report (users
+// restored, generation, segments folded).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	resp := healthResponse{Status: "ok", Recovery: s.cfg.Recovery}
-	if draining {
-		resp.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-		return
+	var jerr error
+	if jw := s.gw.Journal(); jw != nil {
+		jerr = jw.Err()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	resp := healthResponse{Status: "ok", Recovery: s.cfg.Recovery}
+	code := http.StatusServiceUnavailable
+	switch {
+	case draining:
+		resp.Status = "draining"
+	case jerr != nil:
+		resp.Status, resp.Error = "degraded", jerr.Error()
+	default:
+		code = http.StatusOK
+	}
+	writeJSON(w, code, resp)
 }
 
-// handleResume serves GET /v1/resume?user=U: the journal's progress
-// counters for one user. A client reconnecting after a crash (its own or
-// the server's) trims its send queue to DurableIn, resends only from In —
-// records a live server has absorbed must not be re-sent, or the
-// mechanism would draw fresh randomness for them — and fetches the
-// protected output it never received via /v1/replay. Answers 404 when
-// the gateway runs journal-less: resume-by-counter is exactly the
-// capability the journal adds.
+// handleResume serves POST /v1/resume: where a reconnecting client's
+// stream of one user resumes, given how many protected records it has
+// received. The journal decides (journal.UserState.Rewind). When the
+// server emitted windows the client never received, it rewinds the
+// user's stream to the newest window checkpoint the client has fully
+// received, so the resent inputs regenerate the missing windows
+// bit-identically; when the client holds output a crash lost, it skips
+// the regenerated duplicates. Answers 409 while a connection still owns
+// the user (the client retries once that connection is released, so no
+// live stream is ever rewound), 410 when the gap cannot be regenerated,
+// and 404 when the gateway runs journal-less: resume-by-counter is
+// exactly the capability the journal adds.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	if !s.admitUnary(w, r) {
 		return
@@ -914,83 +928,49 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "server: no journal configured")
 		return
 	}
-	user := r.URL.Query().Get("user")
-	if user == "" {
-		httpError(w, http.StatusBadRequest, "server: missing user parameter")
+	var req ResumeRequest
+	if err := decodeJSONBody(r, &req); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// The journal is write-behind; wait for the pump so the counters
-	// cover every window emitted before this request.
+	if req.User == "" {
+		httpError(w, http.StatusBadRequest, "server: missing user")
+		return
+	}
+	s.mu.Lock()
+	owned := s.owners[req.User] != nil
+	s.mu.Unlock()
+	if owned {
+		httpError(w, http.StatusConflict, fmt.Sprintf("server: user %q is still streaming on a connection", req.User))
+		return
+	}
+	// The journal is write-behind; wait for the pump so the folded state
+	// covers every window emitted before this request.
 	if err := s.gw.JournalBarrier(); err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	resp := resumeResponse{User: user}
-	if us := jw.UserResume(user); us != nil {
+	resp := ResumeResponse{User: req.User}
+	us := jw.UserResume(req.User)
+	if us != nil {
 		resp.Known = true
-		resp.Generation = us.Generation
-		resp.In = us.In
 		resp.DurableIn = us.DurableIn
-		resp.Out = us.Out
-		resp.Windows = us.Windows
+	} else {
+		us = &journal.UserState{Checkpoint: journal.Checkpoint{User: req.User}}
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleReplay serves GET /v1/replay?user=U&from=N: the retained protected
-// records with absolute output index >= N, as NDJSON in emission order —
-// the delivery gap of a client that crashed (or lost its connection) after
-// the journal made a window durable but before the bytes arrived. The
-// ring is bounded (8 windows per user), so a gap older than the ring
-// answers 410: the journal can prove the records existed but no longer
-// holds them.
-func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	if !s.admitUnary(w, r) {
-		return
-	}
-	jw := s.gw.Journal()
-	if jw == nil {
-		httpError(w, http.StatusNotFound, "server: no journal configured")
-		return
-	}
-	q := r.URL.Query()
-	user := q.Get("user")
-	if user == "" {
-		httpError(w, http.StatusBadRequest, "server: missing user parameter")
-		return
-	}
-	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
+	k, rewind, err := us.Rewind(req.Delivered, s.gw.Generation())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("server: bad from parameter: %v", err))
+		httpError(w, http.StatusGone, "server: "+err.Error())
 		return
 	}
-	// As in handleResume: the ring must cover every emitted window before
-	// the gap is computed, or an in-flight window could be skipped.
-	if err := s.gw.JournalBarrier(); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	us := jw.UserResume(user)
-	if us == nil {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("server: no checkpoint for user %q", user))
-		return
-	}
-	recs, ok := us.ReplayFrom(from)
-	if !ok {
-		httpError(w, http.StatusGone,
-			fmt.Sprintf("server: retained windows for %q no longer reach back to %d", user, from))
-		return
-	}
-	w.Header().Set("Content-Type", ndjsonContentType)
-	rw, err := trace.NewRecordWriter(w, wireFormat)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	for _, rec := range recs {
-		if err := rw.Write(rec); err != nil {
-			return // sink died; nothing useful left to report
+	if rewind {
+		if err := s.gw.RewindUser(k); err != nil {
+			httpError(w, http.StatusServiceUnavailable, err.Error())
+			return
 		}
 	}
-	_ = rw.Flush() //lppm:allow droppederr -- unary response tail: the client observes the truncation; the handler has no channel left to report it on
+	resp.Rewound = rewind
+	resp.From = k.In
+	resp.Skip = req.Delivered - k.Out
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -221,14 +221,15 @@ type userState struct {
 type shardOp uint8
 
 const (
-	opNone  shardOp = iota // a record batch only
-	opTrace                // bind traceCtx as the user's remote trace context (SetUserTrace)
-	opFlush                // flush the user's pending window now (FlushUser)
-	opEvict                // checkpoint the user's stream and drop it (EvictUser)
+	opNone   shardOp = iota // a record batch only
+	opTrace                 // bind traceCtx as the user's remote trace context (SetUserTrace)
+	opFlush                 // flush the user's pending window now (FlushUser)
+	opEvict                 // checkpoint the user's stream and drop it (EvictUser)
+	opRewind                // restart the user's stream from a checkpoint (RewindUser)
 )
 
 // opVerbs names each command in its caller's errors.
-var opVerbs = [...]string{opTrace: "trace bind", opFlush: "flush", opEvict: "evict"}
+var opVerbs = [...]string{opTrace: "trace bind", opFlush: "flush", opEvict: "evict", opRewind: "rewind"}
 
 // shardMsg is one element of a shard's input queue: a batch of staged
 // records, or a control command. Commands ride the same queue as records so
@@ -247,11 +248,12 @@ type shardMsg struct {
 	// batch span tree without new clock reads.
 	stagedNS int64
 	// op, when not opNone, is a control command for user; traceCtx is
-	// opTrace's argument. done, if non-nil, is closed once the command
-	// has been processed.
+	// opTrace's argument and rewind opRewind's. done, if non-nil, is
+	// closed once the command has been processed.
 	op       shardOp
 	user     string
 	traceCtx tracing.SpanContext
+	rewind   *journal.Checkpoint
 	done     chan struct{}
 }
 
@@ -262,9 +264,10 @@ type shard struct {
 	in    chan shardMsg
 	users map[string]*userState
 	// restore holds checkpoints of users not currently in the table —
-	// recovered from the journal at startup or parked by EvictUser. A
-	// user's first record after that rebuilds the stream from its entry
-	// (lppm.RestoreUserStream). Shard-goroutine-only after newGateway.
+	// recovered from the journal at startup or parked by EvictUser or
+	// RewindUser. A user's first record after that rebuilds the stream
+	// from its entry (lppm.RestoreUserStream). Shard-goroutine-only after
+	// newGateway.
 	restore map[string]journal.Checkpoint
 
 	stageMu sync.Mutex
@@ -377,17 +380,18 @@ type Gateway struct {
 	tap      atomic.Pointer[tapHolder]
 
 	// jw, when non-nil, is the stream journal. Appends are write-behind:
-	// flush and evict enqueue checkpoints on jq and the pump goroutine
-	// group-commits them off the protection path (one write and one fsync
-	// per drained queue), so the journal's cost on the serving hot path is
-	// one bounded channel send.
+	// flush, evict and rewind enqueue checkpoints on jq and the pump
+	// goroutine group-commits them off the protection path (one write and
+	// one fsync per drained queue), so the journal's cost on the serving
+	// hot path is one bounded channel send.
 	// Crash safety does not rest on emit-after-append ordering but on the
 	// resume protocol: clients trim their send buffers only to the
-	// journal's *durable* In (journal.Writer.UserResume) and re-protection
-	// after a resend is deterministic, so any window the journal lost is
-	// regenerated bit-identically. Swap appends synchronously through the
-	// queue (deploy records gate the swap); Close drains the queue and
-	// then closes the journal, after the last drain flush.
+	// journal's *durable* In (journal.Writer.UserResume) and to the
+	// boundary a rewind restarts from, and re-protection after a resend is
+	// deterministic, so any window the journal lost, or the client never
+	// received, is regenerated bit-identically. Swap appends synchronously
+	// through the queue (deploy records gate the swap); Close drains the
+	// queue and then closes the journal, after the last drain flush.
 	jw *journal.Writer
 	// jq feeds the journal pump; nil when jw is nil. Bounded: a stalled
 	// disk eventually backpressures flushes instead of growing the heap.
@@ -569,11 +573,11 @@ func (g *Gateway) journalPump() {
 // JournalBarrier waits until every journal append enqueued so far has
 // been committed — folded into the writer's state and fsynced — so the
 // folded state covers everything the gateway has emitted. The server's
-// resume/replay handlers call it before reading per-user state: without
-// the barrier, a window emitted moments ago could be missing from both
-// the client's delivery and the folded replay ring. No-op without a
-// journal or after Close (a drained, closed journal is trivially
-// current).
+// resume handler calls it before reading per-user state: without the
+// barrier, a window emitted moments ago could be missing from both the
+// client's delivery and the folded head, and the gap would go unseen.
+// No-op without a journal or after Close (a drained, closed journal is
+// trivially current).
 func (g *Gateway) JournalBarrier() error {
 	done := g.enqueueBarrier()
 	if done == nil {
@@ -601,8 +605,8 @@ func (g *Gateway) enqueueBarrier() chan error {
 }
 
 // Journal returns the gateway's stream journal writer, or nil when the
-// gateway does not journal. The server's resume/replay endpoints read
-// per-user state through it (behind JournalBarrier).
+// gateway does not journal. The server's resume endpoint reads per-user
+// state through it (behind JournalBarrier), and /healthz its error.
 func (g *Gateway) Journal() *journal.Writer { return g.jw }
 
 // Obs returns the gateway's metric registry — the one registry of the
@@ -834,6 +838,17 @@ func (g *Gateway) FlushUser(user string) error {
 // an unknown user is a no-op.
 func (g *Gateway) EvictUser(user string) error {
 	return g.command(user, shardMsg{op: opEvict}, true)
+}
+
+// RewindUser restarts a user's stream from cp, the window checkpoint
+// journal.UserState.Rewind chose to close a delivery gap: the live
+// stream is dropped, pending records included, and cp takes its place
+// in the restore table and the journal, so the user's next record
+// rebuilds the stream there and the resent inputs re-protect
+// bit-identically. Like EvictUser the command rides the shard queue
+// behind every record already ingested and returns once processed.
+func (g *Gateway) RewindUser(cp journal.Checkpoint) error {
+	return g.command(cp.User, shardMsg{op: opRewind, rewind: &cp}, true)
 }
 
 // SetUserTrace binds a remote, client-originated trace context to a
@@ -1260,6 +1275,8 @@ func (g *Gateway) handleMsg(s *shard, msg shardMsg) {
 		}
 	case opEvict:
 		g.evict(s, msg.user)
+	case opRewind:
+		g.park(s, *msg.rewind)
 	}
 	if msg.done != nil {
 		close(msg.done)
@@ -1323,15 +1340,14 @@ func (g *Gateway) handle(s *shard, rec trace.Record) {
 
 // evict checkpoints one user's stream — pending window included,
 // unflushed, so the window split (and with it the bit-identity
-// equivalence) is preserved — parks the checkpoint in the restore table
-// and drops the stream. Journaled when a journal is attached; purely
-// in-memory otherwise. A user with no stream is a no-op.
+// equivalence) is preserved — and parks the checkpoint. A user with no
+// stream is a no-op.
 func (g *Gateway) evict(s *shard, user string) {
 	u := s.users[user]
 	if u == nil {
 		return
 	}
-	cp := journal.Checkpoint{
+	g.park(s, journal.Checkpoint{
 		User:       user,
 		Generation: u.gen,
 		RNGPos:     u.us.Pos(),
@@ -1339,15 +1355,22 @@ func (g *Gateway) evict(s *shard, user string) {
 		Out:        u.out,
 		Windows:    u.windows,
 		Pending:    append([]trace.Record(nil), u.us.PendingRecords()...),
-	}
+	})
+}
+
+// park makes cp its user's restart point: journaled when a journal is
+// attached (write-behind like flush; an append error latches via the
+// pump, and the in-memory entry stays exact regardless), held in the
+// restore table, and the live stream, if any, dropped.
+func (g *Gateway) park(s *shard, cp journal.Checkpoint) {
 	if g.jq != nil {
-		// Write-behind like flush; an append error latches via the pump,
-		// and the in-memory restore entry stays exact regardless.
 		g.jq <- journalReq{kind: jreqCheckpoint, cp: cp}
 	}
-	s.restore[user] = cp
-	delete(s.users, user)
-	s.userN.Add(-1)
+	s.restore[cp.User] = cp
+	if s.users[cp.User] != nil {
+		delete(s.users, cp.User)
+		s.userN.Add(-1)
+	}
 }
 
 // flush protects one user's window and emits it. The window boundary is
@@ -1431,14 +1454,14 @@ func (g *Gateway) flush(s *shard, u *userState) {
 	s.flushes.Add(1)
 	u.windows++
 	u.out += uint64(len(recs))
-	// Write-behind: the checkpoint (with this window's protected records)
-	// is enqueued for the journal pump and the window is emitted without
-	// waiting for the disk. Crash safety survives the reordering because
-	// clients only trim their send buffers to the journal's durable In
-	// and re-protection of a resend is deterministic — a window the
-	// journal never saw is regenerated bit-identically from the client's
-	// buffer. The bounded queue turns a stalled disk into flush
-	// backpressure; append errors latch via the pump.
+	// Write-behind: the checkpoint — positions and counters, not the
+	// protected records — is enqueued for the journal pump and the window
+	// is emitted without waiting for the disk. Crash safety survives the
+	// reordering because clients only trim their send buffers to the
+	// journal's durable In and re-protection of a resend is deterministic
+	// — a window the journal never saw is regenerated bit-identically
+	// from the client's buffer. The bounded queue turns a stalled disk
+	// into flush backpressure; append errors latch via the pump.
 	if g.jq != nil {
 		cp := journal.Checkpoint{
 			User:       us.User(),
@@ -1447,7 +1470,6 @@ func (g *Gateway) flush(s *shard, u *userState) {
 			In:         u.in,
 			Out:        u.out,
 			Windows:    u.windows,
-			Window:     recs,
 		}
 		var jStart int64
 		if (g.jhist != nil && flushStart != 0) || wspan != nil {

@@ -75,7 +75,7 @@ func (f gatedFile) Sync() error {
 // journalRecords lists the records after the head snapshot of the single
 // segment on fs, in on-disk order: "deploy" or the checkpointed user.
 // Frames are u32 length | u32 CRC | payload; a payload starts with its
-// kind byte (2 deploy, 3 checkpoint), and a checkpoint continues with its
+// kind byte (2 deploy, 5 checkpoint), and a checkpoint continues with its
 // user as u32 length | bytes.
 func journalRecords(t *testing.T, fs *faultfs.FS) []string {
 	t.Helper()
@@ -95,7 +95,7 @@ func journalRecords(t *testing.T, fs *faultfs.FS) []string {
 		switch p[0] {
 		case 2:
 			recs = append(recs, "deploy")
-		case 3:
+		case 5:
 			recs = append(recs, string(p[5:5+binary.LittleEndian.Uint32(p[1:])]))
 		}
 	}

@@ -105,6 +105,11 @@ func Recover(ctx context.Context, cfg Config, jc JournalConfig) (*Gateway, *Reco
 				"service: journal %s was written with random generator %q but this build draws from %q, so its streams cannot resume (move the journal aside to start fresh)",
 				jc.Dir, gen, rng.Generator))
 		}
+		if st.Format != "" {
+			return nil, nil, closeOnErr(w, fmt.Errorf(
+				"service: journal %s was written in the %q layout, which this build cannot resume: it restarts streams from window checkpoints, not stored output (move the journal aside to start fresh)",
+				jc.Dir, st.Format))
+		}
 		if cfg.Seed != st.Seed {
 			return nil, nil, closeOnErr(w, fmt.Errorf(
 				"service: journal %s was written under seed %d, config says %d",

@@ -528,3 +528,67 @@ func TestJournalFailureRejectsSwap(t *testing.T) {
 	}
 	wait()
 }
+
+// TestRecoverRefusesWindowJournal pins that a journal written while
+// checkpoints carried their protected window — the segment
+// TestSegmentFormatPinned wrote then — is refused at startup with the
+// layout named, and left as it was: its rings hold output, not the
+// window checkpoints a resume rewinds to, and starting empty would drop
+// every user's resume state without a word.
+func TestRecoverRefusesWindowJournal(t *testing.T) {
+	seg, err := os.ReadFile(filepath.Join("..", "journal", "testdata", "windows-wal-00000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := faultfs.New()
+	fs.WriteFile("j/wal-00000000.log", seg)
+	before := fs.Files()
+	g, _, err := Recover(context.Background(), cmConfig(), JournalConfig{Dir: "j", FS: fs})
+	if err == nil {
+		g.Close()
+		t.Fatal("journal of the protected-window layout resumed")
+	}
+	if !strings.Contains(err.Error(), strconv.Quote(journal.FormatWindows)) {
+		t.Errorf("error %q does not name the layout %q", err, journal.FormatWindows)
+	}
+	if after := fs.Files(); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused journal was rewritten: segments %v, want %v", after, before)
+	}
+}
+
+// TestRewindRegeneratesWindows pins the gateway half of closing a
+// delivery gap: rewinding every user to the journal's first window
+// checkpoint and resending from its In re-emits the second window bit for
+// bit, and the stream then continues exactly as a never-rewound one.
+func TestRewindRegeneratesWindows(t *testing.T) {
+	in := cmInput()
+	ref := referenceRunPlain(t, in)
+	g, _, err := Recover(context.Background(), cmConfig(), JournalConfig{Dir: "j", FS: faultfs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := collectOutput(g)
+	feedInterleaved(t, g, in, 0, 2*cmFlushEvery)
+	waitWindows(t, g.Journal(), 2)
+	for u := 0; u < cmUsers; u++ {
+		user := fmt.Sprintf("u%02d", u)
+		k, rewind, err := g.Journal().UserResume(user).Rewind(cmFlushEvery, g.Generation())
+		if err != nil || !rewind || k.Windows != 1 || k.In != cmFlushEvery {
+			t.Fatalf("%s: rewind=%v to %+v (%v), want window 1", user, rewind, k, err)
+		}
+		if err := g.RewindUser(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feedInterleaved(t, g, in, cmFlushEvery, cmPerUser)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := wait()
+	for u, want := range ref {
+		want = append(append([]trace.Record(nil), want[:2*cmFlushEvery]...), want[cmFlushEvery:]...)
+		if !sameRecords(got[u], want) {
+			t.Errorf("%s: the rewound stream diverged from the never-rewound one", u)
+		}
+	}
+}
